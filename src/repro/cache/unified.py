@@ -20,6 +20,7 @@ from repro.cache.admission import AdmissionPolicy, AlwaysAdmit
 from repro.cache.base import CacheKey, CacheStats
 from repro.cache.cpu_optimized import CPUOptimizedCache
 from repro.cache.memory_optimized import MemoryOptimizedCache
+from repro.cache.soa import as_fill_batch, as_row_indices
 
 #: Rows at or below this size are routed to the memory-optimised cache.
 SMALL_ROW_THRESHOLD_BYTES = 255
@@ -143,7 +144,7 @@ class UnifiedRowCache:
         """
         if self.config.num_partitions == 1:
             return self._batch_cache(row_len).probe_batch(table_name, stored_indices, row_len)
-        stored = np.asarray(stored_indices, dtype=np.int64)
+        stored = as_row_indices(stored_indices)
         hit_mask = np.zeros(stored.size, dtype=bool)
         hits: List[bytes] = []
         for position in range(stored.size):
@@ -159,12 +160,15 @@ class UnifiedRowCache:
     def fill_batch(
         self, table_name: str, stored_indices: np.ndarray, values: np.ndarray
     ) -> None:
-        """Batched :meth:`put`, one key per stored row of a uint8 matrix."""
+        """Batched :meth:`put`, one key per stored row of a uint8 matrix.
+
+        A malformed batch raises ``ValueError`` before any row is put.
+        """
+        stored, values = as_fill_batch(stored_indices, values)
         row_len = int(values.shape[1])
         if self.config.num_partitions == 1 and isinstance(self.admission, AlwaysAdmit):
-            self._batch_cache(row_len).fill_batch(table_name, stored_indices, values)
+            self._batch_cache(row_len).fill_batch(table_name, stored, values)
             return
-        stored = np.asarray(stored_indices, dtype=np.int64)
         for position in range(stored.size):
             self.put((table_name, int(stored[position])), values[position].tobytes())
 
