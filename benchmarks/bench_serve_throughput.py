@@ -1,45 +1,56 @@
-"""Serve-core throughput: scalar vs batched wall-clock queries/sec.
+"""Serve-core throughput: wall-clock offered queries/sec of the SDM serve path.
 
-Not a paper table — this benchmarks the array-native serve core
-(``SDMConfig.serve_mode="batched"``): whole batches of embedding-row
-lookups flow through the tier chain as NumPy arrays (one cache probe and
-one grouped device read per tier) instead of one Python-level walk per
-row.  Both modes are run over the *same* open-loop query stream on the
-same small model; the stream is replayed once to warm the row cache and
-then timed, so the measurement is steady-state serve throughput, where
-the per-row Python overhead of the scalar walk dominates.  The simulated
-outcome (served count, simulated QPS) must be identical between modes —
-the batched path is an execution strategy, not a model change.
+Not a paper table — this times the array-native serve core: whole batches
+of embedding-row lookups flow through the tier chain as NumPy arrays (one
+cache probe and one grouped device read per tier).  One open-loop query
+stream is served on a small model whose wide user table makes every request
+a long row batch.  Each timed pass first returns the backend to its
+as-constructed state (``restore_pristine``) and replays the stream once,
+untimed, to warm the caches; it then times a second replay.  Every pass
+therefore simulates the identical outcome, which the bench checks.
 
-Run standalone to write the comparison as JSON::
+Throughput counts *offered* queries: in the cold regime most queries are
+shed by the admission queue, yet they still cost wall time.  It is reported
+raw and in *reference seconds* — wall time rescaled by the fixed kernel of
+``perfbench/calibration.py``, timed around each pass, so runs on a busy and
+an idle machine compare.  The simulated outcome (served and dropped queries,
+simulated QPS) is reported beside every wall number, so a speed-up cannot
+hide a change to the model.
+
+Run standalone to write the measurement as JSON::
 
     python benchmarks/bench_serve_throughput.py --out runs/serve_throughput.json
-
-which is what the ``perf-smoke`` CI job uploads (and gates with
-``--min-speedup``).
 
 ``--cold`` switches to a miss-heavy regime: the row cache is shrunk far
 below the working set, so nearly every lookup falls through to the
 simulated devices and the measurement exercises the batched storage-IO
 path (``IOEngine.submit_row_reads_batch`` + grouped device scheduling)
-rather than array-native cache hits.  The queue-depth gating replay is
-inherently sequential, so the cold speedup is smaller than the warm one;
-CI gates it separately.
+rather than cache hits.
+
+``--snapshot BENCH_serve_throughput.json`` checks the run against the
+committed snapshot of its regime: the simulated outcome must equal it
+exactly, and the median reference-second QPS must reach
+``--min-qps-fraction`` (default 0.5) of the snapshot's.  The ``perf-smoke``
+CI job runs both regimes this way.
 
 ``--trace-overhead`` switches to the tracing-overhead comparison instead:
-the batched serve core timed with a live :class:`ChromeTraceRecorder`
-attached (engine + SDM backend) versus untraced.  The ``obs-smoke`` CI job
-gates the relative slowdown with ``--max-trace-overhead`` and the simulated
-outcome must be identical either way — tracing observes, never perturbs.
+the serve core timed with a live :class:`ChromeTraceRecorder` attached
+(engine + SDM backend) versus untraced.  The ``obs-smoke`` CI job gates the
+relative slowdown with ``--max-trace-overhead`` and the simulated outcome
+must be identical either way — tracing observes, never perturbs.
 """
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from calibration import REFERENCE_SECONDS, calibration_seconds  # noqa: E402
 
 from repro import format_table  # noqa: E402
 from repro.core import SDMConfig, SoftwareDefinedMemory  # noqa: E402
@@ -59,11 +70,10 @@ from repro.workload import (  # noqa: E402
     generate_arrival_times,
 )
 
-SERVE_MODES = ("scalar", "batched")
+SNAPSHOT = ROOT / "BENCH_serve_throughput.json"
 
-# One wide user table so each query gathers a long row batch: that is the
-# regime the batched serve core targets (the scalar walk costs O(rows)
-# Python operations per query, the batched path O(1) array operations).
+# One wide user table so each query gathers a long row batch: the regime
+# the array-native serve core targets (O(1) array operations per batch).
 NUM_ROWS = 16_384
 DIM = 64
 POOLING = 1536.0
@@ -107,12 +117,13 @@ def _bench_model() -> DLRMModel:
     )
 
 
-def run_comparison(repeats: int = 3, cold: bool = False) -> dict:
-    """Time both serve modes over one replayed open-loop stream.
+def _serve_passes(repeats: int, cold: bool = False, traced: bool = False) -> dict:
+    """Time ``repeats`` passes of the serve path over the bench stream.
 
-    ``cold=True`` runs the same stream against a row cache too small for
-    the working set, so the comparison measures the miss path (batched
-    storage IO) rather than warm cache hits.
+    Returns the median raw and reference-second offered QPS, the per-pass
+    reference QPS, and the simulated outcome, which every pass must repeat
+    exactly.  With ``traced`` each timed replay runs under a fresh live
+    recorder, so every pass pays the full span-emission cost.
     """
     model = _bench_model()
     generator = QueryGenerator(
@@ -122,204 +133,164 @@ def run_comparison(repeats: int = 3, cold: bool = False) -> dict:
     arrivals = generate_arrival_times(
         NUM_QUERIES, process="poisson", offered_qps=OFFERED_QPS, seed=1
     )
-    records = {}
-    for mode in SERVE_MODES:
-        sdm = SoftwareDefinedMemory(
-            model,
-            SDMConfig(
-                row_cache_capacity_bytes=(
-                    COLD_ROW_CACHE_BYTES if cold else ROW_CACHE_BYTES
-                ),
-                pooled_cache_enabled=False,
-                num_devices=2,
-                seed=0,
-                serve_mode=mode,
-            ),
-        )
-        serving = ServingEngine(
-            InferenceEngine(model, ComputeSpec(), sdm),
-            concurrency=4,
-            store_results=False,
-        )
-        # Warm pass over the same stream: the timed passes then measure
-        # steady-state serving out of a warm row cache.
+    sdm = SoftwareDefinedMemory(
+        model,
+        SDMConfig(
+            row_cache_capacity_bytes=COLD_ROW_CACHE_BYTES if cold else ROW_CACHE_BYTES,
+            pooled_cache_enabled=False,
+            num_devices=2,
+            seed=0,
+        ),
+    )
+    serving = ServingEngine(
+        InferenceEngine(model, ComputeSpec(), sdm), concurrency=4, store_results=False
+    )
+    wall_qps, reference_qps, outcomes = [], [], []
+    kernel = calibration_seconds()
+    for _ in range(repeats):
+        sdm.restore_pristine()
+        serving.recorder = NULL_RECORDER
         serving.run_open_loop(queries, arrivals, serve_batch=8)
-        best_qps = 0.0
-        result = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = serving.run_open_loop(queries, arrivals, serve_batch=8)
-            elapsed = time.perf_counter() - started
-            best_qps = max(best_qps, result.num_queries / elapsed)
-        assert result is not None
-        records[mode] = {
-            "serve_mode": mode,
-            "wall_qps": best_qps,
-            "served_queries": result.num_queries,
-            "simulated_qps": result.achieved_qps,
-        }
-    # The two modes differ only in execution strategy: the simulated
-    # outcome must match exactly or the comparison is meaningless.
-    scalar, batched = records["scalar"], records["batched"]
-    if scalar["simulated_qps"] != batched["simulated_qps"] or (
-        scalar["served_queries"] != batched["served_queries"]
-    ):
-        raise AssertionError(
-            "scalar and batched serve modes diverged in simulated outcome: "
-            f"{scalar} vs {batched}"
+        recorder = ChromeTraceRecorder() if traced else NULL_RECORDER
+        serving.recorder = recorder
+        sdm.set_trace_recorder(recorder)
+        started = time.perf_counter()
+        result = serving.run_open_loop(queries, arrivals, serve_batch=8)
+        elapsed = time.perf_counter() - started
+        previous, kernel = kernel, calibration_seconds()
+        calibration = (previous + kernel) / 2
+        wall_qps.append(NUM_QUERIES / elapsed)
+        reference_qps.append(NUM_QUERIES / (elapsed * REFERENCE_SECONDS / calibration))
+        outcomes.append(
+            {
+                "offered_queries": result.offered_queries,
+                "served_queries": result.num_queries,
+                "dropped_queries": result.dropped_queries,
+                "simulated_qps": result.achieved_qps,
+            }
         )
+    if any(outcome != outcomes[0] for outcome in outcomes):
+        raise AssertionError(f"passes diverged in simulated outcome: {outcomes}")
+    measured = {
+        "wall_qps": statistics.median(wall_qps),
+        "reference_qps": statistics.median(reference_qps),
+        "reference_qps_passes": reference_qps,
+        "simulated": outcomes[0],
+    }
+    if traced:
+        measured["trace_events"] = len(recorder)
+    return measured
+
+
+def run_throughput(repeats: int = 3, cold: bool = False) -> dict:
+    """Offered QPS of the serve path, warm or cold (miss-heavy) row cache."""
+    measured = _serve_passes(repeats, cold=cold)
     return {
         "benchmark": (
             "bench_serve_throughput --cold" if cold else "bench_serve_throughput"
         ),
         "regime": "cold" if cold else "warm",
-        "num_queries": NUM_QUERIES,
-        "scalar_qps": scalar["wall_qps"],
-        "batched_qps": batched["wall_qps"],
-        "speedup": batched["wall_qps"] / scalar["wall_qps"],
-        "records": list(records.values()),
+        "repeats": repeats,
+        **measured,
     }
 
 
 def run_tracing_overhead(repeats: int = 3) -> dict:
-    """Time the batched serve core traced vs untraced over the same stream.
+    """Time the serve core traced vs untraced over the same stream.
 
     Tracing attaches a live :class:`ChromeTraceRecorder` to both the serving
     engine and the SDM backend (the production wiring of
     ``telemetry.trace=True``), so the measured slowdown covers span emission
     at every layer: queue/serve, chain walk, storage IO, fetch/dequantise.
     """
-    model = _bench_model()
-    generator = QueryGenerator(
-        model, WorkloadConfig(item_batch=1, num_users=300), seed=0
-    )
-    queries = generator.generate(NUM_QUERIES)
-    arrivals = generate_arrival_times(
-        NUM_QUERIES, process="poisson", offered_qps=OFFERED_QPS, seed=1
-    )
-    records = {}
-    trace_events = 0
-    for mode in ("untraced", "traced"):
-        # A fresh SDM (and warm pass) per mode: the row cache warms a little
-        # more on every replay, so sharing one backend would compare passes
-        # at different cache ages and the simulated outcomes would diverge.
-        sdm = SoftwareDefinedMemory(
-            model,
-            SDMConfig(
-                row_cache_capacity_bytes=ROW_CACHE_BYTES,
-                pooled_cache_enabled=False,
-                num_devices=2,
-                seed=0,
-                serve_mode="batched",
-            ),
-        )
-        serving = ServingEngine(
-            InferenceEngine(model, ComputeSpec(), sdm),
-            concurrency=4,
-            store_results=False,
-        )
-        serving.run_open_loop(queries, arrivals, serve_batch=8)
-        best_qps = 0.0
-        result = None
-        for _ in range(repeats):
-            if mode == "traced":
-                # Fresh recorder per pass: each timed pass pays the full
-                # span-emission cost, none amortises a warm event list.
-                recorder = ChromeTraceRecorder()
-            else:
-                recorder = NULL_RECORDER
-            serving.recorder = recorder
-            sdm.set_trace_recorder(recorder)
-            started = time.perf_counter()
-            result = serving.run_open_loop(queries, arrivals, serve_batch=8)
-            elapsed = time.perf_counter() - started
-            best_qps = max(best_qps, result.num_queries / elapsed)
-            if mode == "traced":
-                trace_events = len(recorder)
-        assert result is not None
-        records[mode] = {
-            "tracing": mode,
-            "wall_qps": best_qps,
-            "served_queries": result.num_queries,
-            "simulated_qps": result.achieved_qps,
-        }
-    untraced, traced = records["untraced"], records["traced"]
+    untraced = _serve_passes(repeats)
+    traced = _serve_passes(repeats, traced=True)
     # Tracing must observe without perturbing: identical simulated outcome.
-    if untraced["simulated_qps"] != traced["simulated_qps"] or (
-        untraced["served_queries"] != traced["served_queries"]
-    ):
+    if untraced["simulated"] != traced["simulated"]:
         raise AssertionError(
             "tracing changed the simulated outcome: "
-            f"{untraced} vs {traced}"
+            f"{untraced['simulated']} vs {traced['simulated']}"
         )
+    # Each mode's best pass: the least disturbed by other load on the host.
+    untraced_qps = max(untraced["reference_qps_passes"])
+    traced_qps = max(traced["reference_qps_passes"])
     return {
         "benchmark": "bench_serve_throughput --trace-overhead",
-        "num_queries": NUM_QUERIES,
-        "untraced_qps": untraced["wall_qps"],
-        "traced_qps": traced["wall_qps"],
-        "trace_events": trace_events,
-        "overhead": 1.0 - traced["wall_qps"] / untraced["wall_qps"],
-        "records": list(records.values()),
+        "repeats": repeats,
+        "untraced_qps": untraced_qps,
+        "traced_qps": traced_qps,
+        "trace_events": traced["trace_events"],
+        "overhead": 1.0 - traced_qps / untraced_qps,
+        "simulated": untraced["simulated"],
     }
+
+
+def check_snapshot(payload: dict, snapshot: dict, min_qps_fraction: float) -> list:
+    """Problems of ``payload`` against the committed snapshot of its regime."""
+    expected = snapshot[payload["regime"]]
+    problems = []
+    if payload["simulated"] != expected["simulated"]:
+        problems.append(
+            f"simulated outcome {payload['simulated']} differs from the "
+            f"snapshot's {expected['simulated']}"
+        )
+    floor = min_qps_fraction * expected["reference_qps"]
+    if payload["reference_qps"] < floor:
+        problems.append(
+            f"reference QPS {payload['reference_qps']:.1f} below "
+            f"{min_qps_fraction:g} x snapshot {expected['reference_qps']:.1f}"
+        )
+    return problems
 
 
 def _overhead_table(payload: dict) -> str:
     rows = [
-        [
-            record["tracing"],
-            round(record["wall_qps"], 1),
-            record["served_queries"],
-            round(record["simulated_qps"], 1),
-        ]
-        for record in payload["records"]
+        ["untraced", round(payload["untraced_qps"], 1)],
+        ["traced", round(payload["traced_qps"], 1)],
+        ["overhead", f"{payload['overhead'] * 100:.1f}%"],
     ]
-    rows.append(
-        ["overhead", f"{payload['overhead'] * 100:.1f}%", "", ""]
-    )
     return format_table(
-        ["tracing", "wall-clock QPS", "served", "simulated QPS"],
+        ["tracing", "best reference QPS (offered)"],
         rows,
         title=(
-            f"tracing overhead: batched serve, "
+            f"tracing overhead: serve core, "
             f"{payload['trace_events']} events per pass"
         ),
     )
 
 
 def _table(payload: dict) -> str:
+    simulated = payload["simulated"]
     rows = [
         [
-            record["serve_mode"],
-            round(record["wall_qps"], 1),
-            record["served_queries"],
-            round(record["simulated_qps"], 1),
+            payload["regime"],
+            round(payload["wall_qps"], 1),
+            round(payload["reference_qps"], 1),
+            simulated["offered_queries"],
+            simulated["served_queries"],
+            round(simulated["simulated_qps"], 1),
         ]
-        for record in payload["records"]
     ]
-    rows.append(["speedup", f"{payload['speedup']:.1f}x", "", ""])
     return format_table(
-        ["serve mode", "wall-clock QPS", "served", "simulated QPS"],
+        ["row cache", "wall QPS", "reference QPS", "offered", "served", "simulated QPS"],
         rows,
-        title=(
-            "serve-core throughput: scalar vs batched "
-            f"({payload.get('regime', 'warm')} row cache)"
-        ),
+        title=f"serve-core throughput (median of {payload['repeats']} passes)",
     )
 
 
 def bench_serve_throughput(benchmark):
     from _util import emit, run_once
 
-    payload = run_once(benchmark, run_comparison, repeats=1)
-    assert payload["batched_qps"] > payload["scalar_qps"]
-    emit("serve-core throughput (repro.core serve_mode)", _table(payload))
+    payload = run_once(benchmark, run_throughput, repeats=1)
+    assert payload["simulated"] == json.loads(SNAPSHOT.read_text())["warm"]["simulated"]
+    emit("serve-core throughput, warm row cache", _table(payload))
 
 
 def bench_serve_throughput_cold(benchmark):
     from _util import emit, run_once
 
-    payload = run_once(benchmark, run_comparison, repeats=1, cold=True)
-    assert payload["batched_qps"] > payload["scalar_qps"]
+    payload = run_once(benchmark, run_throughput, repeats=1, cold=True)
+    assert payload["simulated"] == json.loads(SNAPSHOT.read_text())["cold"]["simulated"]
     emit("serve-core throughput, cold row cache (storage-IO batching)", _table(payload))
 
 
@@ -330,32 +301,41 @@ def bench_tracing_overhead(benchmark):
     # run_tracing_overhead already asserts identical simulated outcomes;
     # the wall-clock gate itself lives in the obs-smoke CI job.
     assert payload["trace_events"] > 0
-    emit("tracing overhead (repro.obs on the batched serve core)", _overhead_table(payload))
+    emit("tracing overhead (repro.obs on the serve core)", _overhead_table(payload))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", metavar="FILE", help="write the comparison as JSON")
+    parser.add_argument("--out", metavar="FILE", help="write the measurement as JSON")
     parser.add_argument(
-        "--repeats", type=int, default=3, help="timed passes per mode (best is kept)"
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        help="exit non-zero when batched/scalar speedup falls below this",
+        "--repeats", type=int, default=3, help="timed passes (the median is kept)"
     )
     parser.add_argument(
         "--cold",
         action="store_true",
         help=(
-            "run the miss-heavy comparison (tiny row cache) so the batched "
+            "run the miss-heavy regime (tiny row cache) so the batched "
             "storage-IO path dominates the measurement"
         ),
     )
     parser.add_argument(
+        "--snapshot",
+        metavar="FILE",
+        help=(
+            "exit non-zero unless the simulated outcome equals this snapshot's "
+            "and reference QPS reaches --min-qps-fraction of it"
+        ),
+    )
+    parser.add_argument(
+        "--min-qps-fraction",
+        type=float,
+        default=0.5,
+        help="reference-QPS floor as a fraction of the snapshot (default 0.5)",
+    )
+    parser.add_argument(
         "--trace-overhead",
         action="store_true",
-        help="compare traced vs untraced batched serving instead of scalar vs batched",
+        help="compare traced vs untraced serving instead",
     )
     parser.add_argument(
         "--max-trace-overhead",
@@ -370,20 +350,20 @@ def main() -> int:
         payload = run_tracing_overhead(repeats=args.repeats)
         print(_overhead_table(payload))
     else:
-        payload = run_comparison(repeats=args.repeats, cold=args.cold)
+        payload = run_throughput(repeats=args.repeats, cold=args.cold)
         print(_table(payload))
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(payload, indent=2))
         print(f"wrote {out}", file=sys.stderr)
-    if args.min_speedup is not None and payload.get("speedup", 0.0) < args.min_speedup:
-        print(
-            f"speedup {payload['speedup']:.2f}x below the "
-            f"--min-speedup gate {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
+    if args.snapshot and "regime" in payload:
+        snapshot = json.loads(Path(args.snapshot).read_text())
+        problems = check_snapshot(payload, snapshot, args.min_qps_fraction)
+        for problem in problems:
+            print(problem, file=sys.stderr)
+        if problems:
+            return 1
     if (
         args.max_trace_overhead is not None
         and payload["overhead"] > args.max_trace_overhead

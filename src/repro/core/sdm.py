@@ -25,7 +25,7 @@ import numpy as np
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
 from repro.core.config import AccessPathKind, SDMConfig
 from repro.core.depruning import deprune_table
-from repro.core.dequantization import DequantizedTable, dequantize_table
+from repro.core.dequantization import dequantize_table
 from repro.core.placement import Placement, PlacementPolicy, compute_placement
 from repro.core.pooled_cache import PooledEmbeddingCache
 from repro.dlrm.embedding import EmbeddingTableSpec
@@ -67,7 +67,6 @@ class _SMTable:
     spec: EmbeddingTableSpec
     stored_rows: int
     row_bytes: int
-    decode: Callable[[bytes], np.ndarray]
     decode_batch: Callable[[np.ndarray], np.ndarray]
     cache_enabled: bool
     mapping: Optional[np.ndarray] = None
@@ -231,7 +230,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             ),
             use_mmap=config.access_path is AccessPathKind.MMAP,
             seed=config.seed,
-            fast_row_source=self._fast_row_bytes,
             fast_matrix_row_source=self._fast_rows_matrix,
             first_device_tier_devices=devices,
         )
@@ -270,7 +268,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     spec=table.spec,
                     stored_rows=table.spec.num_rows,
                     row_bytes=table.spec.row_bytes,
-                    decode=self._make_quantized_decoder(table.spec),
                     decode_batch=self._make_quantized_batch_decoder(table.spec),
                     cache_enabled=decision.cache_enabled,
                     depruned=True,
@@ -279,7 +276,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 spec=pruned.original_spec,
                 stored_rows=pruned.table.spec.num_rows,
                 row_bytes=pruned.table.spec.row_bytes,
-                decode=self._make_quantized_decoder(pruned.table.spec),
                 decode_batch=self._make_quantized_batch_decoder(pruned.table.spec),
                 cache_enabled=decision.cache_enabled,
                 mapping=pruned.mapping,
@@ -293,7 +289,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 spec=spec,
                 stored_rows=spec.num_rows,
                 row_bytes=dequantized.row_bytes,
-                decode=DequantizedTable.decode_row,
                 decode_batch=self._decode_float_batch,
                 cache_enabled=decision.cache_enabled,
                 dequantized=True,
@@ -303,20 +298,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             spec=spec,
             stored_rows=spec.num_rows,
             row_bytes=spec.row_bytes,
-            decode=self._make_quantized_decoder(spec),
             decode_batch=self._make_quantized_batch_decoder(spec),
             cache_enabled=decision.cache_enabled,
         )
-
-    @staticmethod
-    def _make_quantized_decoder(spec: EmbeddingTableSpec) -> Callable[[bytes], np.ndarray]:
-        dim, bits = spec.dim, spec.quant_bits
-
-        def decode(raw: bytes) -> np.ndarray:
-            rows = np.frombuffer(raw, dtype=np.uint8)[None, :]
-            return dequantize_rows(rows, dim, bits)[0]
-
-        return decode
 
     @staticmethod
     def _make_quantized_batch_decoder(
@@ -351,18 +335,13 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             return pruned.table.row_bytes_at(stored_index)
         return self.model.table(table_name).row_bytes_at(stored_index)
 
-    def _fast_row_bytes(self, table_name: str, stored_index: int) -> bytes:
-        """Row source for stored rows homed on the fast tier (row splits)."""
-        return self._row_source_bytes(table_name, self._sm_tables[table_name], stored_index)
-
     def _fast_rows_matrix(self, table_name: str, stored_indices: np.ndarray) -> np.ndarray:
         """Whole-batch row source for fast-tier-homed stored rows.
 
         Only row-split tables route stored rows to tier 0 (tables homed
         whole on the fast tier are served by :meth:`_serve_from_fm`), and
         row splits exclude pruned/dequantised tables, so the stored bytes
-        are exactly the in-memory table rows — one matrix gather replaces
-        the per-row ``bytes`` round-trip of :meth:`_fast_row_bytes`.
+        are exactly the in-memory table rows: one matrix gather.
         """
         state = self._sm_tables[table_name]
         data = self.model.table(table_name).data
@@ -642,16 +621,11 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         recorder = self.recorder
         index_array = np.asarray(indices, dtype=np.int64)
 
-        # Algorithm 1: try the pooled embedding cache first.  The batched
-        # serve mode hashes the key with the vectorised splitmix64; key,
-        # stats and LRU effects are bit-identical to the scalar probe.
+        # Algorithm 1: try the pooled embedding cache first.
         if self.pooled_cache is not None and self.pooled_cache.eligible(indices):
             cursor += POOLED_PROBE_SECONDS
             self.stats.pooled_cache_lookups += 1
-            if self.config.serve_mode == "batched":
-                cached = self.pooled_cache.probe_batch(table_name, index_array)
-            else:
-                cached = self.pooled_cache.get(table_name, indices)
+            cached = self.pooled_cache.probe_batch(table_name, index_array)
             if cached is not None:
                 self.stats.pooled_cache_hits += 1
             if recorder.enabled:
@@ -683,45 +657,24 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         else:
             stored = index_array
 
-        if self.config.serve_mode == "batched":
-            served = self._serve_batched(
-                table_name, state, indices, index_array, stored, cursor
-            )
-            if served is not None:
-                return served
-        return self._serve_scalar(table_name, state, indices, stored, cursor)
-
-    def _serve_batched(
-        self,
-        table_name: str,
-        state: _SMTable,
-        indices: List[int],
-        index_array: np.ndarray,
-        stored: np.ndarray,
-        cursor: float,
-    ) -> Optional[Tuple[np.ndarray, float]]:
-        """Array-native serve: one whole-batch tier-chain gather.
-
-        Returns ``None`` when the chain cannot replay the scalar walk with
-        bit-identical side effects (a mid-batch promotion hazard); the
-        caller then falls back to :meth:`_serve_scalar` with no tier, cache
-        or timing state perturbed.
-        """
+        # Serve through the tier chain: probe upper caches, read misses from
+        # each row's home tier, promote per policy.  Batches whose cache hits
+        # below tier 0 promote mid-batch take the row-ordered probe walk.
         valid = stored != PRUNED
         positions = np.nonzero(valid)[0].astype(np.int64)
+        stored = stored[valid]
         outcome = self.chain.fetch_batch(
-            table_name,
-            positions,
-            stored[valid],
-            cursor,
-            cache_enabled=state.cache_enabled,
-            size_hint=state.row_bytes,
+            table_name, positions, stored, cursor,
+            cache_enabled=state.cache_enabled, size_hint=state.row_bytes,
         )
         if outcome is None:
-            return None
+            outcome = self.chain.fetch_rows(
+                table_name, positions, stored, cursor,
+                cache_enabled=state.cache_enabled, size_hint=state.row_bytes,
+            )
         self.stats.sm_ios += outcome.device_reads
-        if self.recorder.enabled:
-            self.recorder.span(
+        if recorder.enabled:
+            recorder.span(
                 f"fetch:{table_name}",
                 "sdm",
                 cursor,
@@ -734,15 +687,16 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         cursor = outcome.completion_time
 
         # Dequantise the whole fetched matrix in one batched call and pool in
-        # the original request order — bit-identical to the scalar decode.
+        # the original request order, so results are bit-identical to the
+        # in-memory reference path.
         rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
         fetched_bytes = outcome.rows.shape[0] * state.row_bytes
         if outcome.rows.shape[0]:
-            rows[outcome.served_positions] = state.decode_batch(outcome.rows)
+            rows[outcome.positions] = state.decode_batch(outcome.rows)
         pooled = rows.sum(axis=0)
         dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
-        if self.recorder.enabled and fetched_bytes:
-            self.recorder.span(
+        if recorder.enabled and fetched_bytes:
+            recorder.span(
                 "dequantise", "sdm", cursor, dequant_seconds,
                 args={"table": table_name, "bytes": fetched_bytes},
             )
@@ -750,73 +704,4 @@ class SoftwareDefinedMemory(EmbeddingBackend):
 
         if self.pooled_cache is not None:
             self.pooled_cache.put_batch(table_name, index_array, pooled)
-        return pooled, cursor
-
-    def _serve_scalar(
-        self,
-        table_name: str,
-        state: _SMTable,
-        indices: List[int],
-        stored: np.ndarray,
-        cursor: float,
-    ) -> Tuple[np.ndarray, float]:
-        """Per-row reference walk (the parity oracle for the batched path)."""
-        stored_by_position = [
-            (position, stored_index)
-            for position, stored_index in enumerate(stored.tolist())
-            if stored_index != PRUNED
-        ]
-
-        # Serve through the tier chain: probe upper caches, read misses from
-        # each row's home tier, promote per policy.
-        outcome = self.chain.fetch_rows(
-            table_name,
-            stored_by_position,
-            cursor,
-            cache_enabled=state.cache_enabled,
-            size_hint=state.row_bytes,
-        )
-        self.stats.sm_ios += outcome.device_reads
-        if self.recorder.enabled:
-            self.recorder.span(
-                f"fetch:{table_name}",
-                "sdm",
-                cursor,
-                outcome.completion_time - cursor,
-                args={
-                    "rows": len(stored_by_position),
-                    "device_reads": outcome.device_reads,
-                },
-            )
-        cursor = outcome.completion_time
-
-        # Dequantise and pool in the original request order so results are
-        # bit-identical to the in-memory reference path.  All fetched rows of
-        # one table share a byte length, so decoding is one batched call.
-        rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
-        served_positions = sorted(outcome.rows_by_position)
-        raws = [outcome.rows_by_position[position] for position in served_positions]
-        fetched_bytes = 0
-        if raws:
-            fetched_bytes = sum(len(raw) for raw in raws)
-            lengths = {len(raw) for raw in raws}
-            if len(lengths) == 1:
-                matrix = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(
-                    len(raws), lengths.pop()
-                )
-                rows[served_positions] = state.decode_batch(matrix)
-            else:  # pragma: no cover - defensive; row lengths are uniform
-                for position, raw in zip(served_positions, raws):
-                    rows[position] = state.decode(raw)
-        pooled = rows.sum(axis=0)
-        dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
-        if self.recorder.enabled and fetched_bytes:
-            self.recorder.span(
-                "dequantise", "sdm", cursor, dequant_seconds,
-                args={"table": table_name, "bytes": fetched_bytes},
-            )
-        cursor += dequant_seconds
-
-        if self.pooled_cache is not None:
-            self.pooled_cache.put(table_name, indices, pooled)
         return pooled, cursor

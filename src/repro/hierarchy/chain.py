@@ -12,16 +12,23 @@ that says where every stored row lives.  Serving one row homed on tier ``k``:
    promotion policy (``all`` — every cache above the home tier; ``top`` —
    the fastest cache only; ``none``).
 
+A batch flows through the chain as arrays (:meth:`TierChain.fetch_batch`):
+one probe per cache for all eligible rows, one matrix gather for tier-0 rows,
+one batch read per device tier.  A cache hit below tier 0 that promotes the
+row into faster caches changes what later rows of the same batch find, so
+such batches walk their cache probes in row order instead
+(:meth:`TierChain.fetch_rows`) and then share the same array code.
+
 Whenever only tier 0 carries a cache — every legacy two-tier configuration —
 ``all`` and ``top`` coincide and the chain is bit-identical to the original
 FM-cache-then-SM path of :class:`~repro.core.sdm.SoftwareDefinedMemory`,
-which the parity tests pin down.
+which the golden parity tests pin down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,29 +38,15 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 
 
 @dataclass
-class FetchOutcome:
-    """Result of fetching one batch of stored rows through the chain."""
-
-    rows_by_position: Dict[int, bytes]
-    completion_time: float
-    device_reads: int = 0
-    fast_rows: int = 0
-    cache_hits: int = 0
-    probe_seconds: float = 0.0
-    reads_by_tier: Dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
 class BatchFetchOutcome:
-    """Array-native result of :meth:`TierChain.fetch_batch`.
+    """Result of fetching one batch of stored rows through the chain.
 
-    ``rows`` stacks the served payloads as one uint8 matrix aligned with
-    ``served_positions`` (ascending request positions); everything else
-    matches :class:`FetchOutcome` field for field.
+    ``rows`` stacks the served payloads as one uint8 matrix, row ``i``
+    answering request position ``positions[i]``.
     """
 
     rows: np.ndarray
-    served_positions: np.ndarray
+    positions: np.ndarray
     completion_time: float
     device_reads: int = 0
     fast_rows: int = 0
@@ -121,121 +114,6 @@ class TierChain:
             return upper[:1]
         return upper
 
-    def fetch_rows(
-        self,
-        table_name: str,
-        stored_by_position: Sequence[Tuple[int, int]],
-        start_time: float,
-        *,
-        cache_enabled: bool = True,
-        size_hint: Optional[int] = None,
-    ) -> FetchOutcome:
-        """Fetch stored rows ``[(position, stored_index), ...]`` of a table.
-
-        Probe costs accrue serially in position order (the host walks the
-        request), then all cache misses are submitted to their home tiers'
-        devices concurrently at the accrued cursor — exactly the two-phase
-        structure of the original two-tier serve path.
-        """
-        decision = self.placement.for_table(table_name)
-        cursor = start_time
-        outcome = FetchOutcome(rows_by_position={}, completion_time=start_time)
-        misses_by_tier: Dict[int, List[Tuple[int, int]]] = {}
-        # One vectorised segment lookup for the whole batch instead of a
-        # per-row linear scan.
-        home_tiers = decision.tiers_of_rows(
-            [stored for _, stored in stored_by_position]
-        )
-
-        for (position, stored), home_tier in zip(stored_by_position, home_tiers):
-            home_tier = int(home_tier)
-            served = False
-            if cache_enabled:
-                for tier_index in self._upper_caches(home_tier):
-                    cursor += self.cache_probe_seconds
-                    outcome.probe_seconds += self.cache_probe_seconds
-                    tier = self.tiers[tier_index]
-                    cached = tier.probe_cache(
-                        (table_name, int(stored)), size_hint=size_hint
-                    )
-                    if cached is not None:
-                        # Bytes cached below tier 0 still cross that tier's
-                        # media, and a hit re-promotes the row into the
-                        # faster caches it has fallen out of (per policy).
-                        cursor += tier.cache_hit_seconds(len(cached))
-                        for target in self._promotion_targets(tier_index):
-                            self.tiers[target].fill_cache(
-                                (table_name, int(stored)), cached
-                            )
-                        outcome.rows_by_position[position] = cached
-                        outcome.cache_hits += 1
-                        served = True
-                        break
-            if served:
-                continue
-            if home_tier == 0:
-                # Fast-memory resident row: read it straight from the model at
-                # fast-memory cost (dequantisation is charged by the caller
-                # together with every other fetched row).
-                read = self.tiers[0].read_rows(table_name, [int(stored)], cursor)[0]
-                data = read.data
-                cursor += self.fm_lookup_overhead + len(data) / self.fm_bandwidth
-                fast = self.tiers[0]
-                fast.stats.rows_served += 1
-                fast.stats.bytes_served += len(data)
-                outcome.rows_by_position[position] = data
-                outcome.fast_rows += 1
-                continue
-            misses_by_tier.setdefault(home_tier, []).append((position, int(stored)))
-
-        recorder = self.recorder
-        if recorder.enabled and cursor > start_time:
-            # The serial host walk: cache probes, hit copies, fast-tier reads.
-            recorder.span(
-                "walk",
-                "chain",
-                start_time,
-                cursor - start_time,
-                args={
-                    "probe_seconds": outcome.probe_seconds,
-                    "cache_hits": outcome.cache_hits,
-                    "fast_rows": outcome.fast_rows,
-                },
-            )
-        io_done = cursor
-        for tier_index, entries in misses_by_tier.items():
-            tier = self.tiers[tier_index]
-            reads = tier.read_rows(
-                table_name, [stored for _, stored in entries], cursor
-            )
-            outcome.device_reads += len(reads)
-            outcome.reads_by_tier[tier_index] = (
-                outcome.reads_by_tier.get(tier_index, 0) + len(reads)
-            )
-            targets = self._promotion_targets(tier_index) if cache_enabled else []
-            group_done = cursor
-            for (position, stored), read in zip(entries, reads):
-                outcome.rows_by_position[position] = read.data
-                group_done = max(group_done, read.completion_time)
-                for target in targets:
-                    self.tiers[target].fill_cache((table_name, stored), read.data)
-            io_done = max(io_done, group_done)
-            if recorder.enabled:
-                recorder.span(
-                    f"io:{tier.spec.name}",
-                    "storage",
-                    cursor,
-                    group_done - cursor,
-                    args={
-                        "tier": tier_index,
-                        "reads": len(reads),
-                        "promoted_rows": len(targets) * len(reads),
-                    },
-                )
-
-        outcome.completion_time = max(cursor, io_done)
-        return outcome
-
     def fetch_batch(
         self,
         table_name: str,
@@ -244,41 +122,27 @@ class TierChain:
         start_time: float,
         *,
         cache_enabled: bool = True,
-        size_hint: Optional[int] = None,
+        size_hint: int,
     ) -> Optional[BatchFetchOutcome]:
-        """Array-native :meth:`fetch_rows`: the whole batch flows as arrays.
+        """Fetch stored rows of a table, the whole batch flowing as arrays.
 
-        Partitions the batch by home tier with one segment lookup, probes
-        each tier's cache once for all eligible rows, gathers tier-0 payloads
-        as one matrix, and issues one grouped ``read_rows`` per device tier.
-        Time is charged with the same serial-probe-then-concurrent-IO cost
-        model as the scalar path — the probe/hit/fast increments are replayed
-        in scalar walk order through ``np.add.accumulate``, whose left-to-
-        right addition chain makes the accrued floats bit-identical.
+        Probes each tier's cache once for all eligible rows (each cache sees
+        its probes in row order, so stats, CPU charges and LRU order match a
+        per-row walk), then serves the rest with :meth:`_serve_probed`.
 
-        Returns ``None`` when the batch cannot be served by array ops with
-        bit-identical side effects: no ``size_hint`` (uniform row length), or
-        a cache hit below tier 0 whose promotion policy would fill upper
-        caches mid-walk and perturb later probes.  Callers fall back to the
-        scalar :meth:`fetch_rows` oracle, which is always exact.
+        Returns ``None``, before mutating anything, on a promotion hazard: a
+        cache hit below tier 0 whose promotion policy fills upper caches
+        mid-batch, which later probes of the same batch must observe.
+        Callers serve such batches with :meth:`fetch_rows`.
         """
-        if size_hint is None:
-            return None
         positions = np.asarray(positions, dtype=np.int64)
         stored = np.asarray(stored, dtype=np.int64)
         count = int(stored.size)
-        decision = self.placement.for_table(table_name)
-        home_tiers = (
-            decision.tiers_of_rows(stored)
-            if count
-            else np.zeros(0, dtype=np.int64)
-        )
-
-        # Plan (non-mutating): the first cached tier that holds each row.  A
-        # hit below tier 0 with a non-empty promotion target list would fill
-        # upper caches between probes — only the scalar walk models that.
+        home_tiers = self.placement.for_table(table_name).tiers_of_rows(stored)
         hit_tier = np.full(count, -1, dtype=np.int64)
-        if cache_enabled and count:
+        rows_out = np.zeros((count, size_hint), dtype=np.uint8)
+        if cache_enabled:
+            # Plan (non-mutating): would any row hit a cache that promotes?
             unresolved = np.ones(count, dtype=bool)
             for tier_index in self._cached_tiers:
                 eligible = unresolved & (home_tiers > tier_index)
@@ -290,54 +154,100 @@ class TierChain:
                 if bool(contained.any()):
                     if tier_index >= 1 and self._promotion_targets(tier_index):
                         return None
-                    rows_at = np.nonzero(eligible)[0][contained]
-                    hit_tier[rows_at] = tier_index
-                    unresolved[rows_at] = False
+                    unresolved[np.nonzero(eligible)[0][contained]] = False
 
-        rows_out = np.zeros((count, size_hint), dtype=np.uint8)
-        served = np.zeros(count, dtype=bool)
-        cache_hits = 0
-
-        # Mutating probes: one batched probe per cached tier, in tier order.
-        # Each cache sees exactly the scalar walk's probe sequence (rows in
-        # request order), so stats, CPU charges and LRU order are identical.
-        if cache_enabled and count:
-            resolved = np.zeros(count, dtype=bool)
             for tier_index in self._cached_tiers:
-                walk = (home_tiers > tier_index) & ~resolved
+                walk = (home_tiers > tier_index) & (hit_tier < 0)
                 if not bool(walk.any()):
                     continue
                 hit_mask, values = self.tiers[tier_index].probe_cache_batch(
                     table_name, stored[walk], size_hint
                 )
-                if values.shape[0]:
-                    rows_at = np.nonzero(walk)[0][hit_mask]
-                    rows_out[rows_at] = values
-                    served[rows_at] = True
-                    resolved[rows_at] = True
-                    cache_hits += int(values.shape[0])
+                rows_at = np.nonzero(walk)[0][hit_mask]
+                rows_out[rows_at] = values
+                hit_tier[rows_at] = tier_index
+        return self._serve_probed(
+            table_name, positions, stored, home_tiers, hit_tier, rows_out,
+            start_time, cache_enabled=cache_enabled, size_hint=size_hint,
+        )
+
+    def fetch_rows(
+        self,
+        table_name: str,
+        positions: np.ndarray,
+        stored: np.ndarray,
+        start_time: float,
+        *,
+        cache_enabled: bool = True,
+        size_hint: int,
+    ) -> BatchFetchOutcome:
+        """:meth:`fetch_batch` for batches with promotion hazards.
+
+        The cache probes walk the batch in row order, and a hit below tier 0
+        fills its promotion targets at once, so later rows of the batch see
+        the promoted copy.  The rest of the batch is served by the same
+        array code as :meth:`fetch_batch`; on a batch without hazards the
+        two methods are interchangeable.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        stored = np.asarray(stored, dtype=np.int64)
+        home_tiers = self.placement.for_table(table_name).tiers_of_rows(stored)
+        hit_tier = np.full(stored.size, -1, dtype=np.int64)
+        rows_out = np.zeros((stored.size, size_hint), dtype=np.uint8)
+        if cache_enabled:
+            walk = zip(stored.tolist(), home_tiers.tolist())
+            for row, (stored_index, home_tier) in enumerate(walk):
+                key = (table_name, stored_index)
+                for tier_index in self._upper_caches(home_tier):
+                    cached = self.tiers[tier_index].probe_cache(key, size_hint=size_hint)
+                    if cached is not None:
+                        for target in self._promotion_targets(tier_index):
+                            self.tiers[target].fill_cache(key, cached)
+                        rows_out[row] = np.frombuffer(cached, dtype=np.uint8)
+                        hit_tier[row] = tier_index
+                        break
+        return self._serve_probed(
+            table_name, positions, stored, home_tiers, hit_tier, rows_out,
+            start_time, cache_enabled=cache_enabled, size_hint=size_hint,
+        )
+
+    def _serve_probed(
+        self,
+        table_name: str,
+        positions: np.ndarray,
+        stored: np.ndarray,
+        home_tiers: np.ndarray,
+        hit_tier: np.ndarray,
+        rows_out: np.ndarray,
+        start_time: float,
+        *,
+        cache_enabled: bool,
+        size_hint: int,
+    ) -> BatchFetchOutcome:
+        """Serve a probed batch: tier-0 gather, time charges, device misses.
+
+        ``hit_tier`` holds the cached tier that served each row (``-1`` for
+        none) and ``rows_out`` already holds those rows' payloads.  Time is
+        charged with the serial-probe-then-concurrent-IO cost model: per row,
+        one probe charge per walked cache, then the hit or fast-read charge,
+        replayed in row order through ``np.add.accumulate`` (a left-to-right
+        addition chain, so the accrued floats equal a per-row cursor's);
+        misses are then submitted to their home tiers at the accrued cursor.
+        """
+        count = int(stored.size)
+        cache_hits = int(np.count_nonzero(hit_tier >= 0))
 
         # Tier-0-homed rows: one matrix gather from the in-memory tables.
-        fm_mask = (home_tiers == 0) if count else np.zeros(0, dtype=bool)
+        fm_mask = home_tiers == 0
         num_fast = int(np.count_nonzero(fm_mask))
         if num_fast:
             fast = self.tiers[0]
-            matrix = fast.read_rows_matrix(table_name, stored[fm_mask])
-            if matrix is None:
-                reads = fast.read_rows(
-                    table_name, [int(index) for index in stored[fm_mask]], start_time
-                )
-                matrix = np.frombuffer(
-                    b"".join(read.data for read in reads), dtype=np.uint8
-                ).reshape(num_fast, size_hint)
-            rows_out[fm_mask] = matrix
-            served[fm_mask] = True
+            rows_out[fm_mask] = fast.read_rows_matrix(table_name, stored[fm_mask])
             fast.stats.rows_served += num_fast
             fast.stats.bytes_served += num_fast * size_hint
 
-        # Replay the scalar walk's time accrual: per row, one probe charge per
-        # walked cache, then the hit/fast terminal increment.  Zero padding is
-        # bitwise-neutral (x + 0.0 == x for the positive cursor).
+        # Zero padding is bitwise-neutral (x + 0.0 == x for the positive
+        # cursor).
         num_cached = len(self._cached_tiers)
         increments = np.zeros((count, num_cached + 1), dtype=np.float64)
         total_probes = 0
@@ -348,7 +258,6 @@ class TierChain:
                 )
                 increments[walked, column] = self.cache_probe_seconds
                 total_probes += int(np.count_nonzero(walked))
-            for tier_index in self._cached_tiers:
                 hits_here = hit_tier == tier_index
                 if bool(hits_here.any()):
                     increments[hits_here, num_cached] = self.tiers[
@@ -365,11 +274,9 @@ class TierChain:
         )
         probe_seconds = float(np.add.accumulate(probe_chain)[-1])
 
-        # Misses: group by home tier in first-occurrence row order and issue
-        # the identical grouped read_rows calls the scalar path would.
         outcome = BatchFetchOutcome(
             rows=rows_out,
-            served_positions=positions,
+            positions=positions,
             completion_time=start_time,
             cache_hits=cache_hits,
             fast_rows=num_fast,
@@ -377,6 +284,7 @@ class TierChain:
         )
         recorder = self.recorder
         if recorder.enabled and cursor > start_time:
+            # The serial host walk: cache probes, hit copies, fast-tier reads.
             recorder.span(
                 "walk",
                 "chain",
@@ -388,49 +296,27 @@ class TierChain:
                     "fast_rows": num_fast,
                 },
             )
+
+        # Misses: one batch read per home tier, tiers in first-occurrence
+        # row order, and target-major promotion fills (each cache still sees
+        # its fills in row order).
         io_done = cursor
-        misses_by_tier: Dict[int, List[int]] = {}
-        for row in np.nonzero(~served)[0].tolist():
-            misses_by_tier.setdefault(int(home_tiers[row]), []).append(row)
-        for tier_index, miss_rows in misses_by_tier.items():
+        miss_rows = np.flatnonzero((hit_tier < 0) & ~fm_mask)
+        miss_tiers = home_tiers[miss_rows]
+        tiers_present, first_rows = np.unique(miss_tiers, return_index=True)
+        for tier_index in tiers_present[np.argsort(first_rows)].tolist():
             tier = self.tiers[tier_index]
             targets = self._promotion_targets(tier_index) if cache_enabled else []
-            group_done = cursor
-            num_reads = len(miss_rows)
-            rows_at = np.asarray(miss_rows, dtype=np.int64)
+            rows_at = miss_rows[miss_tiers == tier_index]
             miss_stored = stored[rows_at]
-            batch = tier.read_rows_batch(table_name, miss_stored, cursor)
-            if batch is not None:
-                # Array-native miss path: one grouped batch submission per
-                # tier, a matrix scatter instead of per-row frombuffer, and
-                # target-major promotion fills (each cache still sees its
-                # fills in row order, so LRU state matches the scalar walk).
-                matrix, completions = batch
-                rows_out[rows_at] = matrix
-                served[rows_at] = True
-                if num_reads:
-                    group_done = max(group_done, float(completions.max()))
-                for target in targets:
-                    self.tiers[target].fill_cache_batch(
-                        table_name, miss_stored, matrix
-                    )
-            else:
-                reads = tier.read_rows(
-                    table_name, [int(index) for index in miss_stored], cursor
-                )
-                num_reads = len(reads)
-                for row, read in zip(miss_rows, reads):
-                    rows_out[row] = np.frombuffer(read.data, dtype=np.uint8)
-                    served[row] = True
-                    group_done = max(group_done, read.completion_time)
-                    for target in targets:
-                        self.tiers[target].fill_cache(
-                            (table_name, int(stored[row])), read.data
-                        )
+            matrix, completions = tier.read_rows_batch(table_name, miss_stored, cursor)
+            rows_out[rows_at] = matrix
+            for target in targets:
+                self.tiers[target].fill_cache_batch(table_name, miss_stored, matrix)
+            num_reads = int(rows_at.size)
+            group_done = max(cursor, float(completions.max()))
             outcome.device_reads += num_reads
-            outcome.reads_by_tier[tier_index] = (
-                outcome.reads_by_tier.get(tier_index, 0) + num_reads
-            )
+            outcome.reads_by_tier[tier_index] = num_reads
             io_done = max(io_done, group_done)
             if recorder.enabled:
                 recorder.span(
@@ -445,9 +331,6 @@ class TierChain:
                     },
                 )
 
-        if not bool(served.all()):
-            outcome.rows = rows_out[served]
-            outcome.served_positions = positions[served]
         outcome.completion_time = max(cursor, io_done)
         return outcome
 

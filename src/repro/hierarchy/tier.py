@@ -25,7 +25,6 @@ An ordered list of tiers — fastest first — is what
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -34,7 +33,7 @@ import numpy as np
 from repro.cache.base import CacheKey
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
 from repro.sim.units import BLOCK_SIZE, parse_size
-from repro.storage.access import AccessPath, DirectIOReader, MmapReader, ReadResult
+from repro.storage.access import AccessPath, DirectIOReader, MmapReader
 from repro.storage.block_layout import BlockLayout
 from repro.storage.device import DeviceStats, SimulatedDevice
 from repro.storage.io_engine import IOEngine, IOEngineConfig
@@ -312,7 +311,7 @@ class TierStats:
         self.promoted_rows += other.promoted_rows
 
 
-class MemoryTier(abc.ABC):
+class MemoryTier:
     """Runtime protocol of one tier in the hierarchy.
 
     A tier owns its capacity/latency model, an optional per-tier row cache
@@ -327,12 +326,6 @@ class MemoryTier(abc.ABC):
     @property
     def is_fast(self) -> bool:
         return self.spec.is_fast
-
-    @abc.abstractmethod
-    def read_rows(
-        self, table_name: str, stored_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        """Read rows homed on this tier, starting at ``start_time``."""
 
     def probe_cache(self, key: CacheKey, size_hint: Optional[int] = None) -> Optional[bytes]:
         """Probe this tier's row cache; counts towards the tier's stats."""
@@ -377,19 +370,18 @@ class MemoryTier(abc.ABC):
 
     def read_rows_matrix(
         self, table_name: str, stored_indices: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Batched payload gather for rows homed on this tier, as one uint8
-        matrix, or ``None`` when the tier has no array-native source."""
-        return None
+    ) -> np.ndarray:
+        """Payloads of in-memory rows homed on this tier, as one uint8
+        matrix; side-effect free (fast-memory tiers only)."""
+        raise NotImplementedError(f"tier {self.spec.name!r} holds no in-memory rows")
 
     def read_rows_batch(
         self, table_name: str, stored_indices: np.ndarray, start_time: float
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Array-native :meth:`read_rows`: ``(rows_matrix, completion_times)``
-        in input order, or ``None`` when this tier has no batch read path
-        (the caller falls back to the scalar reads).  Stats and device/engine
-        side effects are bit-identical to the per-row calls."""
-        return None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read rows homed on this tier from its devices, starting at
+        ``start_time``: ``(rows_matrix, completion_times)`` in input order
+        (device tiers only)."""
+        raise NotImplementedError(f"tier {self.spec.name!r} has no devices")
 
     def fill_cache(self, key: CacheKey, value: bytes) -> bool:
         """Insert a row read from a slower tier into this tier's cache."""
@@ -473,7 +465,6 @@ class FastTier(MemoryTier):
         self,
         spec: TierSpec,
         cache: Optional[UnifiedRowCache] = None,
-        row_source: Optional[Callable[[str, int], bytes]] = None,
         matrix_row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
     ) -> None:
         if not spec.is_fast:
@@ -481,44 +472,18 @@ class FastTier(MemoryTier):
         self.spec = spec
         self.cache = cache
         self.stats = TierStats()
-        self._row_source = row_source
         self._matrix_row_source = matrix_row_source
-
-    def read_rows(
-        self, table_name: str, stored_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        if self._row_source is None:
-            raise RuntimeError(
-                "FastTier has no row source; rows cannot be homed on it"
-            )
-        results: List[ReadResult] = []
-        for stored in stored_indices:
-            data = self._row_source(table_name, int(stored))
-            results.append(
-                ReadResult(
-                    table_name=table_name,
-                    row_index=int(stored),
-                    data=data,
-                    requested_bytes=len(data),
-                    transferred_bytes=len(data),
-                    fm_bytes_consumed=0,
-                    completion_time=start_time,
-                    latency=0.0,
-                )
-            )
-        return results
 
     def read_rows_matrix(
         self, table_name: str, stored_indices: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Serve tier-0-homed rows straight from the in-memory table arrays.
-
-        Bypasses the per-row ``bytes`` round-trip of :meth:`read_rows` — the
-        payloads are one advanced-indexing gather.  Side-effect free, exactly
-        like the scalar fast read; the chain does the stats accounting.
+    ) -> np.ndarray:
+        """Serve tier-0-homed rows straight from the in-memory table arrays:
+        one advanced-indexing gather.  The chain does the stats accounting.
         """
         if self._matrix_row_source is None:
-            return None
+            raise RuntimeError(
+                "FastTier has no row source; rows cannot be homed on it"
+            )
         return self._matrix_row_source(table_name, np.asarray(stored_indices, dtype=np.int64))
 
     def fm_footprint_bytes(self) -> int:
@@ -637,51 +602,15 @@ class DeviceTier(MemoryTier):
     def has_table(self, table_name: str) -> bool:
         return table_name in self._segments
 
-    def _resolve(self, table_name: str, stored_index: int) -> Tuple[str, int]:
-        """(layout key, local row) of one stored row on this tier."""
-        for segment in self._segments.get(table_name, ()):
-            if segment.start <= stored_index < segment.end:
-                return segment.key, stored_index - segment.start
-        raise KeyError(
-            f"stored row {stored_index} of table {table_name!r} is not homed on "
-            f"tier {self.spec.name!r}"
-        )
-
     # -------------------------------------------------------------- serving
-    def read_rows(
-        self, table_name: str, stored_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        """Read rows from this tier's devices, preserving input order."""
-        by_key: Dict[str, List[Tuple[int, int]]] = {}
-        for position, stored in enumerate(stored_indices):
-            key, local = self._resolve(table_name, int(stored))
-            by_key.setdefault(key, []).append((position, local))
-        results: List[Optional[ReadResult]] = [None] * len(stored_indices)
-        for key, entries in by_key.items():
-            reads = self.access_path.read_rows(
-                key, [local for _, local in entries], start_time
-            )
-            for (position, _), read in zip(entries, reads):
-                results[position] = read
-        completed = [read for read in results if read is not None]
-        self.stats.ios += len(completed)
-        self.stats.rows_served += len(completed)
-        self.stats.bytes_served += sum(len(read.data) for read in completed)
-        return completed
-
     def read_rows_batch(
         self, table_name: str, stored_indices: np.ndarray, start_time: float
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Array-native :meth:`read_rows` through the batched IO engine path.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read rows from this tier's devices, preserving input order.
 
         Segment resolution is vectorised, and layout keys are visited in
-        first-occurrence order — the identical sequence of engine submissions
-        (and therefore gating, RNG and stats effects) as the scalar grouped
-        walk.  Returns ``None`` when the access path has no batch support
-        (mmap), before any state is mutated.
+        first-occurrence order, one access-path batch read per key.
         """
-        if not self.access_path.supports_batch_reads:
-            return None
         stored = np.asarray(stored_indices, dtype=np.int64)
         count = int(stored.size)
         segments = self._segments.get(table_name, [])
@@ -709,8 +638,6 @@ class DeviceTier(MemoryTier):
             result = self.access_path.read_rows_batch(
                 segment.key, stored[members] - segment.start, start_time
             )
-            if result is None:  # pragma: no cover - guarded by supports_batch_reads
-                return None
             matrix[members] = result.rows
             completions[members] = result.completion_times
         self.stats.ios += count
@@ -780,7 +707,6 @@ def build_tiers(
     device_cache_config: Callable[[TierSpec], Optional[UnifiedCacheConfig]] = lambda spec: None,
     use_mmap: bool = False,
     seed: int = 0,
-    fast_row_source: Optional[Callable[[str, int], bytes]] = None,
     fast_matrix_row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
     first_device_tier_devices: Optional[Sequence[SimulatedDevice]] = None,
 ) -> List[MemoryTier]:
@@ -801,7 +727,6 @@ def build_tiers(
                 FastTier(
                     spec,
                     cache=fast_cache,
-                    row_source=fast_row_source,
                     matrix_row_source=fast_matrix_row_source,
                 )
             )

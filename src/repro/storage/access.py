@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,22 +49,17 @@ class BatchReadResult:
 class AccessPath(abc.ABC):
     """Interface shared by the DIRECT-IO and mmap read paths."""
 
-    #: Whether :meth:`read_rows_batch` is implemented.  Callers must check
-    #: this *before* issuing any batch of a multi-group read so a mid-batch
-    #: ``None`` can never leave the engine partially mutated.
-    supports_batch_reads: bool = False
-
     @abc.abstractmethod
     def read_rows(
         self, table_name: str, row_indices: Sequence[int], start_time: float
     ) -> List[ReadResult]:
         """Read a set of rows of one table starting at ``start_time``."""
 
+    @abc.abstractmethod
     def read_rows_batch(
         self, table_name: str, row_indices: np.ndarray, start_time: float
-    ) -> Optional[BatchReadResult]:
-        """Array-native :meth:`read_rows`; ``None`` when unsupported."""
-        return None
+    ) -> BatchReadResult:
+        """:meth:`read_rows` with the payloads and completions as arrays."""
 
     @abc.abstractmethod
     def fm_footprint_bytes(self) -> int:
@@ -86,8 +81,6 @@ class DirectIOReader(AccessPath):
     Only the requested row bytes land in fast memory (when sub-block reads are
     enabled), and the application-level cache owns all FM space.
     """
-
-    supports_batch_reads = True
 
     def __init__(self, engine: IOEngine, layout: BlockLayout) -> None:
         self.engine = engine
@@ -123,7 +116,7 @@ class DirectIOReader(AccessPath):
 
     def read_rows_batch(
         self, table_name: str, row_indices: np.ndarray, start_time: float
-    ) -> Optional[BatchReadResult]:
+    ) -> BatchReadResult:
         """Whole-batch DIRECT-IO read: locate, submit and gather as arrays.
 
         Engine gating, device scheduling, RNG consumption and every stats
@@ -245,6 +238,24 @@ class MmapReader(AccessPath):
                 )
             )
         return results
+
+    def read_rows_batch(
+        self, table_name: str, row_indices: np.ndarray, start_time: float
+    ) -> BatchReadResult:
+        """:meth:`read_rows` returned as arrays.
+
+        Pages fault and hit one row at a time in request order, so a row
+        whose page an earlier row of the batch faulted in is a page hit that
+        stalls until that fault completes.
+        """
+        reads = self.read_rows(table_name, np.asarray(row_indices).tolist(), start_time)
+        rows = np.frombuffer(b"".join(read.data for read in reads), dtype=np.uint8)
+        return BatchReadResult(
+            rows=rows.reshape(len(reads), self.layout.extent(table_name).row_bytes),
+            completion_times=np.array(
+                [read.completion_time for read in reads], dtype=np.float64
+            ),
+        )
 
     def fm_footprint_bytes(self) -> int:
         return len(self._page_cache) * BLOCK_SIZE

@@ -117,6 +117,11 @@ class TestOptionCoercion:
         config = sdm_config_from_options({"pinned_fm_tables": ["user_0"]})
         assert config.pinned_fm_tables == ("user_0",)
 
+    def test_removed_serve_mode_knob_is_an_unknown_option(self):
+        # The SDM has one serve path; the old scalar/batched switch is gone.
+        with pytest.raises(ValueError, match=r"unknown SDM options \['serve_mode'\]"):
+            sdm_config_from_options({"serve_mode": "scalar"})
+
 
 class TestRegistration:
     def test_unknown_backend_error_names_known(self, model):

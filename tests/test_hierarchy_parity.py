@@ -296,16 +296,120 @@ class TestPromotionPolicies:
             [fast, mid, slow], placement,
             promotion="all", cache_probe_seconds=1e-7,
         )
+        one_row = (np.array([0]), np.array([3]), 0.0)
         # First fetch: NAND read, filled into both upper caches.
-        chain.fetch_rows("t", [(0, 3)], 0.0)
+        chain.fetch_rows("t", *one_row, size_hint=64)
         assert fast_cache.item_count == 1 and mid.cache.item_count == 1
         # Evict from tier 0; the next access hits tier 1's cache, pays its
         # media time on top of the probes, and re-promotes into tier 0.
         fast_cache.clear()
-        outcome = chain.fetch_rows("t", [(0, 3)], 0.0)
+        assert chain.fetch_batch("t", *one_row, size_hint=64) is None  # hazard
+        outcome = chain.fetch_rows("t", *one_row, size_hint=64)
         assert outcome.cache_hits == 1 and outcome.device_reads == 0
         assert outcome.completion_time > 2 * 1e-7  # probes + CXL media time
         assert fast_cache.item_count == 1  # re-promoted
+
+
+def _split_three_tier_chain():
+    """A 96-row table split over dram / cxl (cached) / nand, small caches."""
+    from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
+    from repro.hierarchy import (
+        DeviceTier,
+        FastTier,
+        TierChain,
+        TieredPlacement,
+        TieredTablePlacement,
+        TierSegment,
+        TierSpec,
+    )
+
+    rows = np.random.default_rng(0).integers(0, 256, size=(96, 32), dtype=np.uint8)
+    fast = FastTier(
+        TierSpec.from_value("dram:0"),
+        cache=UnifiedRowCache(UnifiedCacheConfig(capacity_bytes=1024)),
+        matrix_row_source=lambda name, stored: rows[stored],
+    )
+    mid = DeviceTier(
+        TierSpec.from_value("cxl:64KiB:4KiB"),
+        cache_config=UnifiedCacheConfig(capacity_bytes=4096),
+    )
+    slow = DeviceTier(TierSpec.from_value("nand:1MiB"))
+    mid.add_segment("t", 16, 48, 32, lambda s: rows[s].tobytes())
+    slow.add_segment("t", 48, 96, 32, lambda s: rows[s].tobytes())
+    placement = TieredPlacement(num_tiers=3)
+    placement.add(
+        TieredTablePlacement(
+            table_name="t",
+            segments=(
+                TierSegment(tier=0, start=0, end=16),
+                TierSegment(tier=1, start=16, end=48),
+                TierSegment(tier=2, start=48, end=96),
+            ),
+            cache_enabled=True,
+        )
+    )
+    chain = TierChain(
+        [fast, mid, slow], placement, promotion="all",
+        cache_probe_seconds=1e-7, fm_lookup_overhead=5e-8, fm_bandwidth=1e10,
+    )
+    return chain, rows
+
+
+def _chain_state(chain):
+    state = []
+    for tier in chain.tiers:
+        state.append(tier.stats)
+        if tier.cache is not None:
+            state.append(tier.cache.stats)
+            state.append([list(part.keys()) for part in tier.cache._all_caches()])
+        if hasattr(tier, "devices"):
+            state.append([device.stats for device in tier.devices])
+            state.append(tier.io_engine.stats)
+    return state
+
+
+def _outcome_fields(outcome):
+    return (
+        outcome.rows.tobytes(),
+        outcome.positions.tolist(),
+        outcome.completion_time,
+        outcome.device_reads,
+        outcome.fast_rows,
+        outcome.cache_hits,
+        outcome.probe_seconds,
+        outcome.reads_by_tier,
+    )
+
+
+class TestHazardWalkLiveReference:
+    """``fetch_rows`` (the row-ordered probe walk) equals ``fetch_batch``
+    wherever the latter applies: batches with no promotion hazard."""
+
+    def test_fetch_rows_matches_fetch_batch_on_hazard_free_batches(self):
+        batched, rows = _split_three_tier_chain()
+        walked, _ = _split_three_tier_chain()
+        rng = np.random.default_rng(7)
+        compared = hazards = 0
+        cursor = 0.0
+        for _ in range(150):
+            stored = rng.integers(0, 96, size=int(rng.integers(1, 6)))
+            positions = np.arange(stored.size) * 2
+            expected = batched.fetch_batch(
+                "t", positions, stored, cursor, size_hint=32
+            )
+            if expected is None:
+                # A hazard batch: fetch_batch mutated nothing, so serve it on
+                # both chains with the walk to keep their states in step.
+                hazards += 1
+                expected = batched.fetch_rows("t", positions, stored, cursor, size_hint=32)
+            else:
+                compared += 1
+            actual = walked.fetch_rows("t", positions, stored, cursor, size_hint=32)
+            assert _outcome_fields(actual) == _outcome_fields(expected)
+            assert _chain_state(walked) == _chain_state(batched)
+            np.testing.assert_array_equal(actual.rows, rows[stored])
+            cursor = expected.completion_time + 1e-6
+        assert compared > 50 and hazards > 50, (compared, hazards)
 
 
 class TestStrictConfiguration:
@@ -376,8 +480,10 @@ class TestVectorisedDecodeParity:
         ]
         matrix = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(16, -1)
         batch = state.decode_batch(matrix)
-        for position, raw in enumerate(raws):
-            np.testing.assert_array_equal(batch[position], state.decode(raw))
+        spec = model.table("user_0").spec
+        for position in range(len(raws)):
+            single = dequantize_rows(matrix[position][None, :], spec.dim, spec.quant_bits)
+            np.testing.assert_array_equal(batch[position], single[0])
 
     def test_float_batch_decoder_round_trips(self):
         rows = np.random.default_rng(0).normal(size=(8, 12)).astype(np.float32)

@@ -1,5 +1,6 @@
 """Tests for tier specs, parsing and the runtime tier objects."""
 
+import numpy as np
 import pytest
 
 from repro.hierarchy import (
@@ -170,8 +171,9 @@ class TestRuntimeTiers:
         tier = DeviceTier(spec)
         rows = {i: bytes([i % 256] * 64) for i in range(100)}
         tier.add_segment("t", 0, 100, 64, row_source=lambda s: rows[s], whole_table=True)
-        reads = tier.read_rows("t", [3, 97, 11], start_time=0.0)
-        assert [r.data for r in reads] == [rows[3], rows[97], rows[11]]
+        matrix, completions = tier.read_rows_batch("t", np.array([3, 97, 11]), 0.0)
+        assert [row.tobytes() for row in matrix] == [rows[3], rows[97], rows[11]]
+        assert completions.shape == (3,) and bool((completions > 0.0).all())
         assert tier.stats.ios == 3
         assert tier.stats.bytes_served == 3 * 64
 
@@ -180,11 +182,11 @@ class TestRuntimeTiers:
         tier = DeviceTier(spec)
         tier.add_segment("t", 100, 200, 64, row_source=lambda s: bytes([1] * 64))
         tier.add_segment("t", 300, 350, 64, row_source=lambda s: bytes([2] * 64))
-        reads = tier.read_rows("t", [150, 320], start_time=0.0)
-        assert reads[0].data[0] == 1
-        assert reads[1].data[0] == 2
+        matrix, _ = tier.read_rows_batch("t", np.array([150, 320]), 0.0)
+        assert matrix[0, 0] == 1
+        assert matrix[1, 0] == 2
         with pytest.raises(KeyError):
-            tier.read_rows("t", [250], start_time=0.0)
+            tier.read_rows_batch("t", np.array([250]), 0.0)
 
     def test_cost_model(self):
         from repro.hierarchy import cost_factor, memory_cost_dram_gb, pareto_frontier

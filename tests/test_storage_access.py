@@ -53,7 +53,6 @@ class TestDirectIOReader:
         rows = [3, 7, 1, 7, 40, 0]
         scalar_reader, scalar_device = _setup(DirectIOReader)
         batch_reader, batch_device = _setup(DirectIOReader)
-        assert batch_reader.supports_batch_reads
         scalar_results = scalar_reader.read_rows("t", rows, 0.25)
         batch = batch_reader.read_rows_batch(
             "t", np.asarray(rows, dtype=np.int64), 0.25
@@ -67,10 +66,74 @@ class TestDirectIOReader:
         assert scalar_device.stats == batch_device.stats
         assert scalar_reader.engine.stats == batch_reader.engine.stats
 
-    def test_mmap_reader_has_no_batch_path(self):
-        reader, _ = _setup(MmapReader)
-        assert not reader.supports_batch_reads
-        assert reader.read_rows_batch("t", np.array([1], dtype=np.int64), 0.0) is None
+
+def _mmap_readers(**reader_kwargs):
+    """Two identical mmap readers; row ``r`` of table ``t`` holds bytes ``r``."""
+    readers = []
+    for _ in range(2):
+        reader, device = _setup(MmapReader, **reader_kwargs)
+        for row in range(128):
+            location = reader.layout.locate("t", row)
+            device.write_block(location.lba, bytes([row] * 128), offset=location.offset)
+        readers.append(reader)
+    return readers
+
+
+def _batch_equals_per_row(rows, start_time, warm=(), **reader_kwargs):
+    """Read ``rows`` as one batch on one reader and one row per call on its
+    twin (after the same warm-up reads); every outcome must agree."""
+    per_row, batched = _mmap_readers(**reader_kwargs)
+    for row, at in warm:
+        per_row.read_rows("t", [row], at)
+        batched.read_rows("t", [row], at)
+    expected = [per_row.read_rows("t", [row], start_time)[0] for row in rows]
+    batch = batched.read_rows_batch("t", np.asarray(rows, dtype=np.int64), start_time)
+    assert [row.tobytes() for row in batch.rows] == [bytes([r] * 128) for r in rows]
+    assert [row.tobytes() for row in batch.rows] == [read.data for read in expected]
+    assert batch.completion_times.tolist() == [read.completion_time for read in expected]
+    assert batched.page_faults == per_row.page_faults
+    assert batched.page_hits == per_row.page_hits
+    assert batched._page_cache == per_row._page_cache
+    assert batched.engine.stats == per_row.engine.stats
+    assert batched.engine.devices[0].stats == per_row.engine.devices[0].stats
+    return batched, batch
+
+
+class TestMmapBatchReads:
+    """``MmapReader.read_rows_batch`` keeps the per-row page-cache model."""
+
+    def test_page_hits(self):
+        reader, batch = _batch_equals_per_row(
+            [1, 41, 0], start_time=1.0, warm=[(0, 0.0), (40, 0.0)]
+        )
+        assert reader.page_faults == 2 and reader.page_hits == 3
+        assert batch.completion_times.tolist() == [1.0, 1.0, 1.0]
+
+    def test_hit_on_an_in_flight_fault_stalls(self):
+        reader, batch = _batch_equals_per_row([1], start_time=0.0, warm=[(0, 0.0)])
+        assert reader.page_faults == 1 and reader.page_hits == 1
+        fault_done = reader._page_cache[(0, reader.layout.locate("t", 0).lba)]
+        assert batch.completion_times[0] == fault_done > 0.0
+
+    def test_two_rows_of_one_page_in_one_batch(self):
+        reader, batch = _batch_equals_per_row([0, 1], start_time=0.0)
+        assert reader.page_faults == 1 and reader.page_hits == 1
+        assert batch.completion_times[1] == batch.completion_times[0] > 0.0
+
+    def test_fifo_eviction_at_exact_capacity(self):
+        reader, _ = _batch_equals_per_row(
+            [0, 40, 80, 40, 0],
+            start_time=0.0,
+            page_cache_capacity_bytes=2 * BLOCK_SIZE,
+        )
+        # 0, 40, 80 fault (80 evicts 0's page), 40 hits, 0 faults again.
+        assert reader.page_faults == 4 and reader.page_hits == 1
+        assert reader.fm_footprint_bytes() == 2 * BLOCK_SIZE
+
+    def test_faults_transfer_full_blocks(self):
+        reader, _ = _batch_equals_per_row([0, 40, 1], start_time=0.0)
+        assert reader.page_faults == 2
+        assert reader.engine.stats.bytes_transferred == 2 * BLOCK_SIZE
 
 
 class TestMmapReader:
