@@ -692,7 +692,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
         fetched_bytes = outcome.rows.shape[0] * state.row_bytes
         if outcome.rows.shape[0]:
-            rows[outcome.positions] = state.decode_batch(outcome.rows)
+            rows[positions] = state.decode_batch(outcome.rows)
         pooled = rows.sum(axis=0)
         dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
         if recorder.enabled and fetched_bytes:

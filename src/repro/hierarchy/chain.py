@@ -42,11 +42,10 @@ class BatchFetchOutcome:
     """Result of fetching one batch of stored rows through the chain.
 
     ``rows`` stacks the served payloads as one uint8 matrix, row ``i``
-    answering request position ``positions[i]``.
+    answering the ``i``-th requested stored row.
     """
 
     rows: np.ndarray
-    positions: np.ndarray
     completion_time: float
     device_reads: int = 0
     fast_rows: int = 0
@@ -129,13 +128,15 @@ class TierChain:
         Probes each tier's cache once for all eligible rows (each cache sees
         its probes in row order, so stats, CPU charges and LRU order match a
         per-row walk), then serves the rest with :meth:`_serve_probed`.
+        Row ``i`` of the outcome answers ``stored[i]``; ``positions`` (the
+        request slot of each row) stays in the signature so per-layer
+        tracers keep reading ``stored`` as the fourth argument.
 
         Returns ``None``, before mutating anything, on a promotion hazard: a
         cache hit below tier 0 whose promotion policy fills upper caches
         mid-batch, which later probes of the same batch must observe.
         Callers serve such batches with :meth:`fetch_rows`.
         """
-        positions = np.asarray(positions, dtype=np.int64)
         stored = np.asarray(stored, dtype=np.int64)
         count = int(stored.size)
         home_tiers = self.placement.for_table(table_name).tiers_of_rows(stored)
@@ -167,8 +168,8 @@ class TierChain:
                 rows_out[rows_at] = values
                 hit_tier[rows_at] = tier_index
         return self._serve_probed(
-            table_name, positions, stored, home_tiers, hit_tier, rows_out,
-            start_time, cache_enabled=cache_enabled, size_hint=size_hint,
+            table_name, stored, home_tiers, hit_tier, rows_out, start_time,
+            cache_enabled=cache_enabled, size_hint=size_hint,
         )
 
     def fetch_rows(
@@ -189,7 +190,6 @@ class TierChain:
         array code as :meth:`fetch_batch`; on a batch without hazards the
         two methods are interchangeable.
         """
-        positions = np.asarray(positions, dtype=np.int64)
         stored = np.asarray(stored, dtype=np.int64)
         home_tiers = self.placement.for_table(table_name).tiers_of_rows(stored)
         hit_tier = np.full(stored.size, -1, dtype=np.int64)
@@ -207,14 +207,13 @@ class TierChain:
                         hit_tier[row] = tier_index
                         break
         return self._serve_probed(
-            table_name, positions, stored, home_tiers, hit_tier, rows_out,
-            start_time, cache_enabled=cache_enabled, size_hint=size_hint,
+            table_name, stored, home_tiers, hit_tier, rows_out, start_time,
+            cache_enabled=cache_enabled, size_hint=size_hint,
         )
 
     def _serve_probed(
         self,
         table_name: str,
-        positions: np.ndarray,
         stored: np.ndarray,
         home_tiers: np.ndarray,
         hit_tier: np.ndarray,
@@ -276,7 +275,6 @@ class TierChain:
 
         outcome = BatchFetchOutcome(
             rows=rows_out,
-            positions=positions,
             completion_time=start_time,
             cache_hits=cache_hits,
             fast_rows=num_fast,

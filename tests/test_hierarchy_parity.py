@@ -371,7 +371,6 @@ def _chain_state(chain):
 def _outcome_fields(outcome):
     return (
         outcome.rows.tobytes(),
-        outcome.positions.tolist(),
         outcome.completion_time,
         outcome.device_reads,
         outcome.fast_rows,
