@@ -62,18 +62,29 @@ RANK_INDEX_BYTES = 4
 
 @dataclass
 class _SMTable:
-    """Serving state of one table with rows homed below tier 0."""
+    """Serving state of one table with rows homed below tier 0.
+
+    ``rows`` is the ``(n, row_bytes)`` uint8 matrix the stored rows come
+    from: the model's table data, the pruned table's data, or the image
+    built at load for a depruned or dequantised table.  Stored row ``s`` is
+    ``rows[s]``, or ``rows[rank_order[s]]`` for a hotness-ranked split.
+    """
 
     spec: EmbeddingTableSpec
-    stored_rows: int
-    row_bytes: int
+    rows: np.ndarray
     decode_batch: Callable[[np.ndarray], np.ndarray]
     cache_enabled: bool
     mapping: Optional[np.ndarray] = None
     mapping_fm_bytes: int = 0
     rank_order: Optional[np.ndarray] = None
-    depruned: bool = False
-    dequantized: bool = False
+
+    @property
+    def stored_rows(self) -> int:
+        return int(self.rows.shape[0])
+
+    @property
+    def row_bytes(self) -> int:
+        return int(self.rows.shape[1])
 
 
 @dataclass
@@ -230,7 +241,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             ),
             use_mmap=config.access_path is AccessPathKind.MMAP,
             seed=config.seed,
-            fast_matrix_row_source=self._fast_rows_matrix,
+            fast_matrix_row_source=self._stored_rows,
             first_device_tier_devices=devices,
         )
 
@@ -262,20 +273,16 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         if table_name in self.pruned_tables:
             pruned = self.pruned_tables[table_name]
             if self.config.deprune_at_load:
-                result = deprune_table(pruned)
-                table = result.table
+                table = deprune_table(pruned).table
                 return _SMTable(
                     spec=table.spec,
-                    stored_rows=table.spec.num_rows,
-                    row_bytes=table.spec.row_bytes,
+                    rows=table.data,
                     decode_batch=self._make_quantized_batch_decoder(table.spec),
                     cache_enabled=decision.cache_enabled,
-                    depruned=True,
                 )
             return _SMTable(
                 spec=pruned.original_spec,
-                stored_rows=pruned.table.spec.num_rows,
-                row_bytes=pruned.table.spec.row_bytes,
+                rows=pruned.table.data,
                 decode_batch=self._make_quantized_batch_decoder(pruned.table.spec),
                 cache_enabled=decision.cache_enabled,
                 mapping=pruned.mapping,
@@ -283,21 +290,17 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             )
 
         if self.config.dequantize_at_load:
-            result = dequantize_table(self.model.table(table_name))
-            dequantized = result.table
+            dequantized = dequantize_table(self.model.table(table_name)).table
             return _SMTable(
                 spec=spec,
-                stored_rows=spec.num_rows,
-                row_bytes=dequantized.row_bytes,
+                rows=dequantized.data.view(np.uint8),
                 decode_batch=self._decode_float_batch,
                 cache_enabled=decision.cache_enabled,
-                dequantized=True,
             )
 
         return _SMTable(
             spec=spec,
-            stored_rows=spec.num_rows,
-            row_bytes=spec.row_bytes,
+            rows=self.model.table(table_name).data,
             decode_batch=self._make_quantized_batch_decoder(spec),
             cache_enabled=decision.cache_enabled,
         )
@@ -317,41 +320,22 @@ class SoftwareDefinedMemory(EmbeddingBackend):
     def _decode_float_batch(rows: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(rows).view(np.float32)
 
-    def _row_source_bytes(self, table_name: str, state: _SMTable, stored_index: int) -> bytes:
-        """Serialized bytes of one stored row (used when loading to devices)."""
-        if state.rank_order is not None:
-            return self.model.table(table_name).row_bytes_at(
-                int(state.rank_order[stored_index])
-            )
-        if state.dequantized:
-            table = self.model.table(table_name)
-            return table.lookup_dense([stored_index])[0].astype(np.float32).tobytes()
-        if table_name in self.pruned_tables:
-            pruned = self.pruned_tables[table_name]
-            if state.depruned:
-                if stored_index in self._depruned_cache[table_name]:
-                    return self._depruned_cache[table_name][stored_index]
-                return bytes(state.row_bytes)
-            return pruned.table.row_bytes_at(stored_index)
-        return self.model.table(table_name).row_bytes_at(stored_index)
+    def _stored_rows(self, table_name: str, stored: Union[slice, np.ndarray]) -> np.ndarray:
+        """Stored rows of one table as an ``(n, row_bytes)`` uint8 matrix.
 
-    def _fast_rows_matrix(self, table_name: str, stored_indices: np.ndarray) -> np.ndarray:
-        """Whole-batch row source for fast-tier-homed stored rows.
-
-        Only row-split tables route stored rows to tier 0 (tables homed
-        whole on the fast tier are served by :meth:`_serve_from_fm`), and
-        row splits exclude pruned/dequantised tables, so the stored bytes
-        are exactly the in-memory table rows: one matrix gather.
+        The one row source of the hierarchy: device tiers load a segment
+        with a slice (a view of ``rows``, no copy, unless the table is
+        rank-ordered), and tier 0 serves the stored rows of a row-split
+        table with an index array (one gather).
         """
         state = self._sm_tables[table_name]
-        data = self.model.table(table_name).data
         if state.rank_order is not None:
-            return data[state.rank_order[stored_indices]]
-        return data[stored_indices]
+            return state.rows[state.rank_order[stored]]
+        return state.rows[stored]
 
     def _load_sm_tables(self) -> None:
-        """Lay out and write every device-homed table segment onto its tier."""
-        self._depruned_cache: Dict[str, Dict[int, bytes]] = {}
+        """Lay out every device-homed table segment, then write each device
+        tier's segments as whole matrices."""
         for table_name in self.tiered_placement.storage_tables():
             if table_name not in self.model.tables:
                 raise KeyError(
@@ -360,7 +344,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             decision = self.tiered_placement.for_table(table_name)
             state = self._sm_source_for(table_name)
             if decision.is_split or decision.rank_order is not None:
-                if table_name in self.pruned_tables or state.dequantized:
+                if table_name in self.pruned_tables or self.config.dequantize_at_load:
                     raise ValueError(
                         f"table {table_name!r}: row-split placement cannot be "
                         f"combined with pruned or dequantize-at-load tables"
@@ -377,15 +361,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     )
                     state.mapping = mapping
                     state.mapping_fm_bytes = state.stored_rows * RANK_INDEX_BYTES
-            if state.depruned:
-                pruned = self.pruned_tables[table_name]
-                live = np.nonzero(pruned.mapping != PRUNED)[0]
-                self._depruned_cache[table_name] = {
-                    int(unpruned_index): pruned.table.row_bytes_at(
-                        int(pruned.mapping[unpruned_index])
-                    )
-                    for unpruned_index in live
-                }
             self._sm_tables[table_name] = state
             segments = whole_table_segments(decision, state.stored_rows)
             decision.segments = segments
@@ -400,11 +375,10 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     segment.start,
                     segment.end,
                     state.row_bytes,
-                    row_source=lambda stored, name=table_name, st=state: (
-                        self._row_source_bytes(name, st, stored)
-                    ),
                     whole_table=whole,
                 )
+        for tier in self.device_tiers:
+            tier.write_segments(self._stored_rows)
 
     def _resolve_fast_segments(self) -> None:
         """Resolve whole-table sentinel segments of tables homed on tier 0."""

@@ -8,7 +8,7 @@ real data whether it came from DRAM, the FM row cache, or a simulated SSD.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,11 +154,6 @@ class EmbeddingTable:
     def bag(self, indices: Sequence[int]) -> np.ndarray:
         """Sum-pooled dense vector over ``indices`` (EmbeddingBag / SLS)."""
         return self.lookup_dense(indices).sum(axis=0)
-
-    def iter_row_bytes(self) -> Iterable[bytes]:
-        """Iterate serialized rows in index order (used when loading to SM)."""
-        for row in self.data:
-            yield row.tobytes()
 
     @property
     def size_bytes(self) -> int:

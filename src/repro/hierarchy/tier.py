@@ -568,36 +568,41 @@ class DeviceTier(MemoryTier):
         start: int,
         end: int,
         row_bytes: int,
-        row_source: Callable[[int], bytes],
         whole_table: bool = False,
     ) -> None:
-        """Allocate and write stored rows ``[start, end)`` of a table.
+        """Allocate blocks for stored rows ``[start, end)`` of a table.
 
-        ``row_source`` maps a stored index to its serialized bytes.  Whole-
-        table segments keep the bare table name as layout key so per-table
+        Nothing is written until :meth:`write_segments`.  Whole-table
+        segments keep the bare table name as layout key so per-table
         outstanding-IO limits and legacy layouts are unchanged.
         """
         if end <= start:
             raise ValueError(f"segment [{start}, {end}) of {table_name!r} is empty")
         key = table_name if whole_table else f"{table_name}@{start}"
-        segment = _Segment(key=key, start=start, end=end)
-        self._segments.setdefault(table_name, []).append(segment)
+        self.layout.add_table(key, end - start, row_bytes)
+        self._segments.setdefault(table_name, []).append(
+            _Segment(key=key, start=start, end=end)
+        )
         self._row_bytes[table_name] = row_bytes
-        extent = self.layout.add_table(key, end - start, row_bytes)
-        device = self.devices[extent.device_index]
-        rows_per_block = extent.rows_per_block
-        num_rows = end - start
-        for block_offset in range(extent.num_blocks):
-            buffer = bytearray(BLOCK_SIZE)
-            first_row = block_offset * rows_per_block
-            for slot in range(rows_per_block):
-                local_row = first_row + slot
-                if local_row >= num_rows:
-                    break
-                row = row_source(start + local_row)
-                offset = slot * row_bytes
-                buffer[offset : offset + len(row)] = row
-            device.write_block(extent.first_lba + block_offset, bytes(buffer))
+
+    def write_segments(self, stored_rows: Callable[[str, slice], np.ndarray]) -> None:
+        """Write every allocated segment onto its device.
+
+        ``stored_rows(table_name, slice(start, end))`` returns a segment's
+        stored rows as an ``(end - start, row_bytes)`` uint8 matrix.  Each
+        device's block store is sized once, from the layout, before the
+        first write; call this once, after the last :meth:`add_segment`.
+        """
+        for index, device in enumerate(self.devices):
+            device.reserve_blocks(self.layout.allocated_bytes(index) // BLOCK_SIZE)
+        for table_name, segments in self._segments.items():
+            for segment in segments:
+                extent = self.layout.extent(segment.key)
+                self.devices[extent.device_index].write_rows(
+                    extent.first_lba,
+                    stored_rows(table_name, slice(segment.start, segment.end)),
+                    extent.rows_per_block,
+                )
 
     def has_table(self, table_name: str) -> bool:
         return table_name in self._segments

@@ -8,17 +8,18 @@ ceiling while latency stays near the unloaded base latency until the device
 approaches saturation -- the behaviour Figure 3 of the paper shows for Nand
 Flash and Optane SSDs.
 
-Block contents live in one contiguous uint8 ndarray (a slot per written
-block, slot 0 reserved as the all-zero image of never-written blocks), so a
-whole batch of row reads gathers with a single advanced-indexing operation
-instead of a per-row ``bytes`` join.
+Block contents live in one contiguous uint8 ndarray indexed by LBA (row 0
+reserved as the all-zero image of blocks past the written extent), so a
+whole batch of row reads gathers with a single indexing operation instead of
+a per-row ``bytes`` join, and a loader writes a whole table extent with a
+fixed number of NumPy calls.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -161,11 +162,11 @@ class SimulatedDevice:
         self.spec = spec
         self.stats = DeviceStats()
         self.latency_model = LoadedLatencyModel(spec)
-        # Written blocks live as rows of one contiguous store; slot 0 is the
-        # reserved all-zero image returned for never-written blocks.
-        self._block_slots: Dict[int, int] = {}
+        # Block b lives in row b + 1 of one contiguous store, which reaches
+        # the highest block written or reserved so far; row 0 is the all-zero
+        # image read for every block past it.  Loaders lay tables out from
+        # LBA 0 on, so the store holds exactly the written extent.
         self._block_store: np.ndarray = np.zeros((1, BLOCK_SIZE), dtype=np.uint8)
-        self._num_slots = 1
         self.channel_free: np.ndarray = np.zeros(spec.internal_parallelism, dtype=float)
         self._seed = seed
         self.rng = make_rng(seed, "device", spec.name)
@@ -191,18 +192,34 @@ class SimulatedDevice:
         if bool(bad.any()):
             self._check_lba(int(lbas[bad][0]))
 
-    def _slot_for_write(self, lba: int) -> int:
-        slot = self._block_slots.get(lba)
-        if slot is not None:
-            return slot
-        if self._num_slots == self._block_store.shape[0]:
-            grown = np.zeros((2 * self._num_slots, BLOCK_SIZE), dtype=np.uint8)
-            grown[: self._num_slots] = self._block_store
-            self._block_store = grown
-        slot = self._num_slots
-        self._num_slots += 1
-        self._block_slots[lba] = slot
-        return slot
+    def _slots(self, lbas: np.ndarray) -> np.ndarray:
+        """Store row of each LBA of an int64 array (row 0 past the store)."""
+        slots: np.ndarray = np.where(
+            lbas < self._block_store.shape[0] - 1, lbas + 1, 0
+        )
+        return slots
+
+    def reserve_blocks(self, num_blocks: int) -> None:
+        """Size the block store to hold LBAs ``[0, num_blocks)``.
+
+        One exact allocation: a loader that reserves its whole layout up
+        front writes every extent without regrowing the store.
+        """
+        rows = num_blocks + 1
+        if rows <= self._block_store.shape[0]:
+            return
+        store = np.zeros((rows, BLOCK_SIZE), dtype=np.uint8)
+        store[: self._block_store.shape[0]] = self._block_store
+        self._block_store = store
+
+    def _first_slot_for_write(self, first_lba: int, num_blocks: int) -> int:
+        """Store row of ``first_lba``, growing the store to reach
+        ``first_lba + num_blocks - 1``."""
+        end = first_lba + num_blocks
+        if end >= self._block_store.shape[0]:
+            # Writes past a reservation grow the store geometrically.
+            self.reserve_blocks(max(end, 2 * (self._block_store.shape[0] - 1)))
+        return first_lba + 1
 
     def write_block(self, lba: int, data: bytes, offset: int = 0) -> None:
         """Write ``data`` into a block (content only; use :meth:`write` for timing)."""
@@ -211,12 +228,42 @@ class SimulatedDevice:
             raise ValueError(
                 f"write of {len(data)} B at offset {offset} exceeds the {BLOCK_SIZE} B block"
             )
-        slot = self._slot_for_write(lba)
+        slot = self._first_slot_for_write(lba, 1)
         self._block_store[slot, offset : offset + len(data)] = np.frombuffer(
             data, dtype=np.uint8
         )
         self.stats.bytes_written += len(data)
         self.stats.writes += 1
+
+    def write_rows(self, first_lba: int, rows: np.ndarray, rows_per_block: int) -> None:
+        """Write an ``(n, row_bytes)`` uint8 matrix as a row-major extent.
+
+        Rows are packed ``rows_per_block`` to a block from ``first_lba`` on,
+        each block zero-padded past its last row; every block counts as one
+        whole-block write.  A fixed number of NumPy calls: the full blocks as
+        one reshape, then the tail block.
+        """
+        count, row_bytes = rows.shape
+        used = rows_per_block * row_bytes
+        if count == 0 or rows_per_block <= 0 or used > BLOCK_SIZE:
+            raise ValueError(
+                f"cannot pack {count} row(s) of {row_bytes} B, {rows_per_block} "
+                f"per {BLOCK_SIZE} B block"
+            )
+        full, tail = divmod(count, rows_per_block)
+        num_blocks = full + (1 if tail else 0)
+        self._check_lba(first_lba)
+        self._check_lba(first_lba + num_blocks - 1)
+        first = self._first_slot_for_write(first_lba, num_blocks)
+        store = self._block_store
+        blocks = store[first : first + full]
+        blocks[:, :used] = rows[: full * rows_per_block].reshape(full, used)
+        blocks[:, used:] = 0
+        if tail:
+            store[first + full, : tail * row_bytes] = rows[full * rows_per_block :].reshape(-1)
+            store[first + full, tail * row_bytes :] = 0
+        self.stats.writes += num_blocks
+        self.stats.bytes_written += num_blocks * BLOCK_SIZE
 
     def read_block_data(self, lba: int, offset: int = 0, length: Optional[int] = None) -> bytes:
         """Return the stored bytes without any timing (used by tests)."""
@@ -227,14 +274,14 @@ class SimulatedDevice:
             raise ValueError(
                 f"read of {length} B at offset {offset} exceeds the {BLOCK_SIZE} B block"
             )
-        slot = self._block_slots.get(lba, 0)
+        slot = lba + 1 if lba + 1 < self._block_store.shape[0] else 0
         return self._block_store[slot, offset : offset + length].tobytes()
 
     def read_rows_ndarray(self, lbas: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
         """Gather equal-length byte ranges as one ``(n, length)`` uint8 matrix.
 
         The batched counterpart of per-row :meth:`read_block_data` calls: one
-        advanced-indexing gather from the contiguous block store, no timing.
+        row gather from the contiguous block store, no timing.
         """
         lbas = np.asarray(lbas, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -248,15 +295,13 @@ class SimulatedDevice:
             raise ValueError(
                 f"read of {length} B at offset {bad} exceeds the {BLOCK_SIZE} B block"
             )
-        unique_lbas, inverse = np.unique(lbas, return_inverse=True)
-        slots_of_unique = np.fromiter(
-            (self._block_slots.get(int(lba), 0) for lba in unique_lbas),
-            dtype=np.int64,
-            count=int(unique_lbas.size),
+        store = self._block_store
+        # Row i of this view is the ``length`` bytes from byte i of the store
+        # on, so gathering every range is one take of whole rows.
+        windows = np.ndarray(
+            (store.size - length + 1, length), dtype=np.uint8, buffer=store, strides=(1, 1)
         )
-        slots = slots_of_unique[inverse]
-        columns = offsets[:, None] + np.arange(length, dtype=np.int64)[None, :]
-        result: np.ndarray = self._block_store[slots[:, None], columns]
+        result: np.ndarray = windows[self._slots(lbas) * BLOCK_SIZE + offsets]
         return result
 
     # ---------------------------------------------------------------- timing

@@ -10,6 +10,11 @@ pooled embedding bytes, exact completion times, SDM counters, per-tier
 serving / device / IO-engine stats, mmap page-cache counters, row-cache
 counters *and* per-partition key order, and pooled-cache counters.
 
+Loading is frozen beside serving: ``block_images`` holds, per device, the
+sha256 of the blocks the SDM wrote onto it at build time (every allocated
+block, in LBA order) with the device's write counters.  The images were
+recorded from the per-row loader that the array-native one replaced.
+
 The fixture has no regenerate switch on purpose: regenerating it from the
 code under test would turn the oracle into a snapshot of whatever that
 code does.  A deliberate change to the simulated model must replace the
@@ -29,7 +34,8 @@ from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
 from repro.dlrm import DLRMModel, EmbeddingTable, EmbeddingTableSpec, MLP
 from repro.dlrm.pruning import prune_table
-from repro.hierarchy import DeviceTier
+from repro.hierarchy import DeviceTier, compute_tiered_placement
+from repro.sim.units import BLOCK_SIZE
 from repro.storage import IOEngineConfig, MmapReader
 from repro.workload import QueryGenerator, WorkloadConfig
 
@@ -70,6 +76,11 @@ VARIANTS = {
     "split-rows-hazard": {
         "split_rows": True,
         "tiers": "dram:2KiB:2KiB,cxl:4KiB:64KiB,nand:1GiB",
+    },
+    # Hotness-ranked row split: every tier stores its rows in rank order.
+    "split-rows-ranked": {
+        "row_hotness": True,
+        "tiers": "dram:2KiB,cxl:40KiB:64KiB,nand:1GiB",
     },
     "four-partitions": {"num_cache_partitions": 4},
     "tiny-cache": {"row_cache_capacity_bytes": 4 * 1024},
@@ -130,6 +141,7 @@ def _build_sdm(variant: dict) -> SoftwareDefinedMemory:
     options = dict(variant)
     quant_bits = options.pop("quant_bits", 8)
     pruned_fraction = options.pop("pruned_fraction", 0.0)
+    row_hotness = options.pop("row_hotness", False)
     model = _model(quant_bits)
     pruned = None
     if pruned_fraction:
@@ -143,7 +155,20 @@ def _build_sdm(variant: dict) -> SoftwareDefinedMemory:
         seed=0,
         **options,
     )
-    return SoftwareDefinedMemory(model, config, pruned_tables=pruned)
+    placement = None
+    if row_hotness:
+        placement = compute_tiered_placement(
+            model.table_specs,
+            config.resolved_tiers(),
+            granularity="rows",
+            row_hotness={
+                name: np.random.default_rng(7).permutation(256)
+                for name in ("user_0", "user_1")
+            },
+        )
+    return SoftwareDefinedMemory(
+        model, config, placement=placement, pruned_tables=pruned
+    )
 
 
 def _fields(stats) -> dict:
@@ -167,8 +192,34 @@ def _cache_snapshot(cache) -> dict:
     }
 
 
+def _block_images(sdm: SoftwareDefinedMemory) -> list:
+    """Per device tier, per device: what loading wrote onto the device."""
+    images = []
+    for tier in sdm.tiers:
+        if not isinstance(tier, DeviceTier):
+            continue
+        per_device = []
+        for index, device in enumerate(tier.devices):
+            blocks = tier.layout.allocated_bytes(index) // BLOCK_SIZE
+            digest = hashlib.sha256()
+            for lba in range(blocks):
+                digest.update(device.read_block_data(lba))
+            per_device.append(
+                {
+                    "blocks": blocks,
+                    "sha256": digest.hexdigest(),
+                    "writes": device.stats.writes,
+                    "bytes_written": device.stats.bytes_written,
+                }
+            )
+        images.append(per_device)
+    return images
+
+
 def _snapshot(sdm: SoftwareDefinedMemory) -> dict:
-    """Serve the fixed query stream and capture every observable outcome."""
+    """Capture the loaded block images, then serve the fixed query stream
+    and capture every observable outcome."""
+    block_images = _block_images(sdm)
     generator = QueryGenerator(
         sdm.model, WorkloadConfig(item_batch=1, num_users=100), seed=3
     )
@@ -185,6 +236,7 @@ def _snapshot(sdm: SoftwareDefinedMemory) -> dict:
         completions.append(repr(done))
         cursor = done + 1e-4
     return {
+        "block_images": block_images,
         "pooled_sha256": digests,
         "completion_times": completions,
         "sdm_stats": _fields(sdm.stats),

@@ -101,13 +101,6 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             table.lookup_dense([])
 
-    def test_iter_row_bytes_covers_all_rows(self):
-        spec = _spec(num_rows=6, dim=4)
-        table = EmbeddingTable.random(spec, seed=0)
-        rows = list(table.iter_row_bytes())
-        assert len(rows) == 6
-        assert all(len(row) == spec.row_bytes for row in rows)
-
     def test_size_bytes_matches_spec(self):
         spec = _spec(num_rows=10, dim=8)
         table = EmbeddingTable.random(spec, seed=0)

@@ -283,7 +283,12 @@ class TestPromotionPolicies:
         )
         slow = DeviceTier(TierSpec.from_value("nand:1MiB"))
         assert mid.cache_hit_seconds(64) > 0.0
-        slow.add_segment("t", 0, 16, 64, lambda s: bytes([s] * 64), whole_table=True)
+        slow.add_segment("t", 0, 16, 64, whole_table=True)
+        slow.write_segments(
+            lambda name, stored: np.repeat(
+                np.arange(16, dtype=np.uint8)[stored, None], 64, axis=1
+            )
+        )
         placement = TieredPlacement(num_tiers=3)
         placement.add(
             TieredTablePlacement(
@@ -334,8 +339,10 @@ def _split_three_tier_chain():
         cache_config=UnifiedCacheConfig(capacity_bytes=4096),
     )
     slow = DeviceTier(TierSpec.from_value("nand:1MiB"))
-    mid.add_segment("t", 16, 48, 32, lambda s: rows[s].tobytes())
-    slow.add_segment("t", 48, 96, 32, lambda s: rows[s].tobytes())
+    mid.add_segment("t", 16, 48, 32)
+    slow.add_segment("t", 48, 96, 32)
+    mid.write_segments(lambda name, stored: rows[stored])
+    slow.write_segments(lambda name, stored: rows[stored])
     placement = TieredPlacement(num_tiers=3)
     placement.add(
         TieredTablePlacement(

@@ -169,10 +169,11 @@ class TestRuntimeTiers:
     def test_segment_read_round_trip(self):
         spec = TierSpec.from_value("nand:1MiB")
         tier = DeviceTier(spec)
-        rows = {i: bytes([i % 256] * 64) for i in range(100)}
-        tier.add_segment("t", 0, 100, 64, row_source=lambda s: rows[s], whole_table=True)
+        rows = np.repeat(np.arange(100, dtype=np.uint8)[:, None], 64, axis=1)
+        tier.add_segment("t", 0, 100, 64, whole_table=True)
+        tier.write_segments(lambda name, stored: rows[stored])
         matrix, completions = tier.read_rows_batch("t", np.array([3, 97, 11]), 0.0)
-        assert [row.tobytes() for row in matrix] == [rows[3], rows[97], rows[11]]
+        np.testing.assert_array_equal(matrix, rows[[3, 97, 11]])
         assert completions.shape == (3,) and bool((completions > 0.0).all())
         assert tier.stats.ios == 3
         assert tier.stats.bytes_served == 3 * 64
@@ -180,8 +181,14 @@ class TestRuntimeTiers:
     def test_multi_segment_resolution(self):
         spec = TierSpec.from_value("nand:1MiB")
         tier = DeviceTier(spec)
-        tier.add_segment("t", 100, 200, 64, row_source=lambda s: bytes([1] * 64))
-        tier.add_segment("t", 300, 350, 64, row_source=lambda s: bytes([2] * 64))
+        tier.add_segment("t", 100, 200, 64)
+        tier.add_segment("t", 300, 350, 64)
+        tier.write_segments(
+            lambda name, stored: np.full(
+                (stored.stop - stored.start, 64), 1 if stored.start == 100 else 2,
+                dtype=np.uint8,
+            )
+        )
         matrix, _ = tier.read_rows_batch("t", np.array([150, 320]), 0.0)
         assert matrix[0, 0] == 1
         assert matrix[1, 0] == 2

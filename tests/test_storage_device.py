@@ -57,6 +57,81 @@ class TestDeviceData:
         assert device.stats.bytes_written == 150
 
 
+def _packed_blocks(rows, rows_per_block):
+    """Reference image of a row-major extent: one zero-padded block per
+    ``rows_per_block`` rows, built row by row."""
+    blocks = []
+    for first in range(0, len(rows), rows_per_block):
+        block = bytearray(BLOCK_SIZE)
+        for slot, row in enumerate(rows[first : first + rows_per_block]):
+            block[slot * len(row) : (slot + 1) * len(row)] = row.tobytes()
+        blocks.append(bytes(block))
+    return blocks
+
+
+class TestWriteRows:
+    def test_extent_image_and_stats_match_per_block_writes(self):
+        rows = np.random.default_rng(0).integers(0, 256, size=(103, 40), dtype=np.uint8)
+        device = _make_device()
+        device.write_rows(6, rows, rows_per_block=10)
+        expected = _packed_blocks(rows, 10)
+        assert [device.read_block_data(6 + i) for i in range(len(expected))] == expected
+        assert device.read_block_data(6 + len(expected)) == bytes(BLOCK_SIZE)
+        assert device.stats.writes == len(expected) == 11
+        assert device.stats.bytes_written == 11 * BLOCK_SIZE
+
+    def test_reserved_store_is_sized_exactly_once(self):
+        device = _make_device()
+        device.reserve_blocks(7)
+        store = device._block_store
+        assert store.shape[0] == 1 + 7
+        device.write_rows(0, np.ones((30, 128), dtype=np.uint8), rows_per_block=32)
+        device.write_rows(1, np.ones((6 * 32, 128), dtype=np.uint8), rows_per_block=32)
+        assert device._block_store is store
+
+    def test_rewrite_over_written_blocks_zeroes_stale_padding(self):
+        device = _make_device()
+        device.write_block(4, bytes([9] * BLOCK_SIZE))
+        device.write_block(8, bytes([7] * 16), offset=BLOCK_SIZE - 16)
+        rows = np.arange(5 * 3 * 100, dtype=np.int64).astype(np.uint8).reshape(15, 100)
+        device.write_rows(3, rows, rows_per_block=3)  # blocks 3..7, partly fresh
+        expected = _packed_blocks(rows, 3)
+        assert [device.read_block_data(lba) for lba in range(3, 8)] == expected
+        assert device.read_block_data(8, BLOCK_SIZE - 16) == bytes([7] * 16)
+
+    def test_extent_past_the_last_block_rejected(self):
+        device = _make_device(capacity=BLOCK_SIZE * 4)
+        with pytest.raises(IndexError):
+            device.write_rows(2, np.zeros((3, 2048), dtype=np.uint8), rows_per_block=1)
+        with pytest.raises(ValueError):
+            device.write_rows(0, np.zeros((3, 2048), dtype=np.uint8), rows_per_block=3)
+
+    def test_gather_after_mixed_writes_matches_a_reference(self):
+        rng = np.random.default_rng(1)
+        device = _make_device(capacity=BLOCK_SIZE * 256)
+        reference = {}
+        for _ in range(40):
+            if rng.random() < 0.5:
+                lba = int(rng.integers(0, 256))
+                payload = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
+                device.write_block(lba, payload, offset=64)
+                block = bytearray(reference.get(lba, bytes(BLOCK_SIZE)))
+                block[64:128] = payload
+                reference[lba] = bytes(block)
+            else:
+                first = int(rng.integers(0, 240))
+                rows = rng.integers(0, 256, size=(int(rng.integers(1, 64)), 512), dtype=np.uint8)
+                device.write_rows(first, rows, rows_per_block=8)
+                for index, block in enumerate(_packed_blocks(rows, 8)):
+                    reference[first + index] = block
+        lbas = rng.integers(0, 256, size=500).astype(np.int64)
+        offsets = rng.integers(0, BLOCK_SIZE - 96, size=500).astype(np.int64)
+        matrix = device.read_rows_ndarray(lbas, offsets, 96)
+        for row, (lba, offset) in enumerate(zip(lbas.tolist(), offsets.tolist())):
+            image = reference.get(lba, bytes(BLOCK_SIZE))
+            assert matrix[row].tobytes() == image[offset : offset + 96]
+
+
 class TestDeviceReadTiming:
     def test_read_returns_requested_data_and_positive_latency(self):
         device = _make_device()
